@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""Run the fast-core performance suite and emit ``BENCH_core.json``.
+"""Run the simulation-core performance suite and emit ``BENCH_core.json``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf_core.py [--quick] \
         [--output BENCH_core.json]
 
-``--quick`` shrinks the microbench sizes and skips the live
-legacy-kernel end-to-end reference so the whole suite finishes in
-under a minute; the emitted JSON has the same shape either way.
+``--quick`` shrinks the microbench sizes so the whole suite finishes
+in under a minute; the emitted JSON has the same shape either way.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller repeats; skip the live legacy end-to-end run",
+        help="smaller microbench sizes and repeats",
     )
     parser.add_argument(
         "--output", default="BENCH_core.json",

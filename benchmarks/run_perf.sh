@@ -1,5 +1,5 @@
 #!/bin/sh
-# Run the fast-core performance suite (emits BENCH_core.json).
+# Run the simulation-core performance suite (emits BENCH_core.json).
 # Pass --quick for the <60s smoke variant used by the tier-1 flow.
 set -e
 cd "$(dirname "$0")/.."

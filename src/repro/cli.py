@@ -17,7 +17,7 @@ Subcommands
 ``repro counters <app> <version> [--top N] [--fast]``
     Darshan-style per-file counter report for an application run.
 ``repro bench [--quick] [--output PATH] [--check]``
-    Run the fast-core performance suite (emits BENCH_core.json).
+    Run the simulation-core performance suite (emits BENCH_core.json).
     ``--check`` compares the fresh run against the committed
     ``BENCH_*.json`` baselines and exits non-zero on a >15%
     regression in any in-run speedup ratio.
@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
-        "bench", help="run the fast-core performance suite"
+        "bench", help="run the simulation-core performance suite"
     )
     p.add_argument("--quick", action="store_true",
                    help="smaller repeats; finishes in under a minute")

@@ -1,21 +1,18 @@
-"""Performance benchmarks for the fast simulation core.
+"""Performance benchmarks for the simulation core.
 
-Three layers are measured, mirroring the fast-path work:
+Three layers are measured:
 
 ``engine``
-    Raw DES kernel throughput (events/sec).  The workload is an event
-    *churn*: one driver process arms a fan of fire-and-forget timeouts
-    per step, so the measurement isolates event allocation, scheduling,
-    and dispatch (the kernel layer) rather than generator resumption.
-    The fast calendar-queue/pooled kernel is compared against the
-    in-tree legacy heap kernel (``Engine(fast=False)``, the seed
-    implementation) with interleaved repeats; the median ratio is the
-    headline speedup.
+    Raw DES kernel throughput (events/sec, median of repeats).  The
+    workload is an event *churn*: one driver process arms a fan of
+    fire-and-forget timeouts per step, so the measurement isolates
+    event allocation, scheduling, and dispatch (the kernel layer)
+    rather than generator resumption.
 
 ``engine_process_driven``
-    The same comparison on a generator-heavy shape (many processes
-    each yielding timeouts) — closer to application code, with the
-    kernel gain diluted by generator resume costs.
+    The same measurement on a generator-heavy shape (many processes
+    each yielding timeouts) — closer to application code, with kernel
+    costs diluted by generator resume costs.
 
 ``tracer``
     Columnar trace capture: ``Tracer.record_fields`` calls/sec and the
@@ -23,8 +20,12 @@ Three layers are measured, mirroring the fast-path work:
 
 ``end_to_end``
     A fresh paper-scale ESCAT-A simulation (the most expensive single
-    run behind the tables), plus the cached-reload path, compared
-    against the pre-PR baseline recorded in :data:`PRE_PR_BASELINE`.
+    run behind the tables), plus the cached-reload path.
+
+The core suite reports absolute rates and walls only.  They track the
+host machine, not the code, so it carries no criteria and no
+regression rows; end-to-end performance is measured by the repository
+benchmark (``perfbench/``).
 
 A second suite (:func:`run_datapath_suite`, emitted as
 ``BENCH_datapath.json``) measures the batched PFS data path: stripe
@@ -50,22 +51,6 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.engine import Engine
-
-#: End-to-end baseline measured at the seed commit (heap kernel,
-#: per-object tracer, no cache) on the reference container: a fresh
-#: paper-scale ESCAT-A run.  The ``end_to_end`` section reports the
-#: current fresh run against this.
-PRE_PR_BASELINE = {
-    "description": (
-        "fresh paper-scale ESCAT-A at the seed commit "
-        "(heap kernel, per-object tracer, no run cache)"
-    ),
-    "escat_A_wall_s": 54.8,
-    "escat_A_records": 367786,
-}
-
-#: Acceptance thresholds the suite reports against.
-CRITERIA = {"engine_speedup_min": 3.0, "end_to_end_speedup_min": 2.0}
 
 
 def _churn(env: Engine, n_events: int, fan: int) -> int:
@@ -99,40 +84,33 @@ def _process_driven(env: Engine, n_procs: int, n_steps: int) -> int:
     return n_procs * (n_steps + 2)
 
 
-def _rate(workload: Callable[[Engine], int], fast: bool) -> float:
-    env = Engine(fast=fast)
+def _rate(workload: Callable[[Engine], int]) -> float:
+    env = Engine()
     start = time.perf_counter()
     events = workload(env)
     return events / (time.perf_counter() - start)
 
 
-def _compare(workload: Callable[[Engine], int], repeats: int) -> Dict:
-    """Interleaved legacy/fast measurement; medians + ratio."""
-    legacy: List[float] = []
-    fast: List[float] = []
-    for _ in range(repeats):
-        legacy.append(_rate(workload, fast=False))
-        fast.append(_rate(workload, fast=True))
-    legacy_med = statistics.median(legacy)
-    fast_med = statistics.median(fast)
+def _measure(workload: Callable[[Engine], int], repeats: int) -> Dict:
+    """Kernel events/s over ``repeats`` runs: median and range."""
+    rates = [_rate(workload) for _ in range(repeats)]
     return {
-        "legacy_events_per_s": round(legacy_med),
-        "fast_events_per_s": round(fast_med),
-        "speedup": round(fast_med / legacy_med, 2),
+        "events_per_s": round(statistics.median(rates)),
+        "events_per_s_range": [round(min(rates)), round(max(rates))],
         "repeats": repeats,
     }
 
 
 def bench_engine(quick: bool = False) -> Dict:
     n = 100_000 if quick else 200_000
-    out = _compare(lambda env: _churn(env, n, fan=255), repeats=5)
+    out = _measure(lambda env: _churn(env, n, fan=255), repeats=5)
     out["workload"] = f"event churn: {n} timeouts, fan 255"
     return out
 
 
 def bench_engine_process_driven(quick: bool = False) -> Dict:
     n_procs, n_steps = (100, 1000) if quick else (100, 2000)
-    out = _compare(
+    out = _measure(
         lambda env: _process_driven(env, n_procs, n_steps), repeats=3
     )
     out["workload"] = f"{n_procs} processes x {n_steps} timeout yields"
@@ -170,7 +148,8 @@ def bench_tracer(quick: bool = False) -> Dict:
     }
 
 
-def bench_end_to_end(quick: bool = False) -> Dict:
+def bench_end_to_end() -> Dict:
+    """Fresh and cached-reload paper-scale ESCAT-A (any ``--quick``)."""
     from repro.apps import ETHYLENE, run_escat
     from repro.experiments import cache
 
@@ -203,29 +182,11 @@ def bench_end_to_end(quick: bool = False) -> Dict:
             if old_enabled is not None:
                 os.environ["REPRO_CACHE"] = old_enabled
 
-    out = {
+    return {
         "fresh_wall_s": round(fresh_s, 2),
         "cached_wall_s": round(cached_s, 2),
         "records": len(result.trace),
-        "speedup_vs_pre_pr": round(
-            PRE_PR_BASELINE["escat_A_wall_s"] / fresh_s, 2
-        ),
-        "cached_speedup_vs_pre_pr": round(
-            PRE_PR_BASELINE["escat_A_wall_s"] / cached_s, 2
-        ),
     }
-    if not quick:
-        # Live in-tree reference: the same run on the legacy heap
-        # kernel (columnar tracer still active in both).
-        os.environ["REPRO_FAST_CORE"] = "0"
-        try:
-            start = time.perf_counter()
-            legacy_result = run_escat("A", ETHYLENE, seed=seed)
-            out["legacy_core_wall_s"] = round(time.perf_counter() - start, 2)
-            assert len(legacy_result.trace) == len(result.trace)
-        finally:
-            os.environ.pop("REPRO_FAST_CORE", None)
-    return out
 
 
 #: Fresh paper-scale ESCAT-A measured at the PR 1 commit (fast kernel
@@ -617,9 +578,7 @@ def run_profile(quick: bool = False, top: int = 30) -> str:
     stream.write(
         f"cProfile of fresh ESCAT-A ({scale} scale), seed 1996: "
         f"{len(result.trace):,} trace records in {wall:.2f}s wall\n"
-        f"flags: REPRO_FAST_CORE="
-        f"{os.environ.get('REPRO_FAST_CORE', '1')} "
-        f"REPRO_FAST_DATAPATH="
+        f"flags: REPRO_FAST_DATAPATH="
         f"{os.environ.get('REPRO_FAST_DATAPATH', '1')} "
         f"REPRO_FAST_APP={os.environ.get('REPRO_FAST_APP', '1')}\n\n"
     )
@@ -635,7 +594,7 @@ def run_suite(quick: bool = False) -> Dict:
     engine = bench_engine(quick)
     engine_pd = bench_engine_process_driven(quick)
     tracer = bench_tracer(quick)
-    end_to_end = bench_end_to_end(quick)
+    end_to_end = bench_end_to_end()
     payload = {
         "benchmark": "repro fast simulation core",
         "quick": quick,
@@ -643,19 +602,9 @@ def run_suite(quick: bool = False) -> Dict:
         "engine_process_driven": engine_pd,
         "tracer": tracer,
         "end_to_end": end_to_end,
-        "baseline_pre_pr": PRE_PR_BASELINE,
-        "criteria": {
-            **CRITERIA,
-            "engine_ok": engine["speedup"] >= CRITERIA["engine_speedup_min"],
-            "end_to_end_ok": (
-                end_to_end["speedup_vs_pre_pr"]
-                >= CRITERIA["end_to_end_speedup_min"]
-            ),
-        },
         "environment": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
-            "fast_core_default": os.environ.get("REPRO_FAST_CORE", "1") != "0",
         },
         "suite_wall_s": 0.0,
     }
@@ -669,35 +618,18 @@ def render(payload: Dict) -> str:
     pd = payload["engine_process_driven"]
     tr = payload["tracer"]
     e2e = payload["end_to_end"]
-    crit = payload["criteria"]
     lines = [
-        "fast simulation core benchmarks"
+        "simulation core benchmarks"
         + (" (quick)" if payload["quick"] else ""),
-        f"  engine churn      legacy {eng['legacy_events_per_s']:>10,}/s"
-        f"  fast {eng['fast_events_per_s']:>10,}/s"
-        f"  speedup {eng['speedup']:.2f}x"
-        f"  [>= {crit['engine_speedup_min']:.1f}x: "
-        f"{'ok' if crit['engine_ok'] else 'MISS'}]",
-        f"  engine processes  legacy {pd['legacy_events_per_s']:>10,}/s"
-        f"  fast {pd['fast_events_per_s']:>10,}/s"
-        f"  speedup {pd['speedup']:.2f}x",
+        f"  engine churn      {eng['events_per_s']:>10,} events/s",
+        f"  engine processes  {pd['events_per_s']:>10,} events/s",
         f"  tracer capture    {tr['records_per_s']:>10,} records/s"
         f"  (finish {tr['finish_records_per_s']:,}/s)",
         f"  escat-A fresh     {e2e['fresh_wall_s']:.2f}s"
-        f"  ({e2e['records']:,} records)"
-        f"  vs pre-PR {payload['baseline_pre_pr']['escat_A_wall_s']}s"
-        f"  speedup {e2e['speedup_vs_pre_pr']:.2f}x"
-        f"  [>= {crit['end_to_end_speedup_min']:.1f}x: "
-        f"{'ok' if crit['end_to_end_ok'] else 'MISS'}]",
-        f"  escat-A cached    {e2e['cached_wall_s']:.2f}s"
-        f"  speedup {e2e['cached_speedup_vs_pre_pr']:.2f}x",
+        f"  ({e2e['records']:,} records)",
+        f"  escat-A cached    {e2e['cached_wall_s']:.2f}s",
+        f"  suite wall        {payload['suite_wall_s']:.1f}s",
     ]
-    if "legacy_core_wall_s" in e2e:
-        lines.append(
-            f"  escat-A legacy-core {e2e['legacy_core_wall_s']:.2f}s"
-            " (heap kernel, in-tree)"
-        )
-    lines.append(f"  suite wall        {payload['suite_wall_s']:.1f}s")
     return "\n".join(lines)
 
 
@@ -720,14 +652,6 @@ REGRESSION_THRESHOLD = 0.15
 #: ``--quick`` settings (different problem scales shift the ratio for
 #: reasons that are not regressions).
 _CHECK_METRICS = {
-    "repro fast simulation core": (
-        ("engine.speedup", ("engine", "speedup"), False),
-        (
-            "engine_process_driven.speedup",
-            ("engine_process_driven", "speedup"),
-            False,
-        ),
-    ),
     "repro batched PFS data path": (
         # Vectorized decomposition speedup amortizes over batch size,
         # so it shifts with problem scale: only compare like-for-like.
@@ -744,10 +668,11 @@ _CHECK_METRICS = {
             True,
         ),
     ),
-    # The serve suite has no in-run fast/legacy ratio to compare —
-    # its absolute rates track the host machine, so the relative gate
-    # compares nothing and the (conservative) absolute criteria below
-    # carry the whole serve gate.
+    # The core and serve suites have no in-run fast/legacy ratio to
+    # compare — their absolute rates track the host machine, so the
+    # relative gate compares nothing for them (the serve suite's
+    # conservative absolute criteria below carry its whole gate).
+    "repro fast simulation core": (),
     "repro serve traffic": (),
 }
 
@@ -864,12 +789,6 @@ def render_check(report: Dict) -> str:
 #: on full-scale runs: quick problems shift end-to-end ratios for
 #: reasons that say nothing about the targets.
 _CRITERIA_METRICS = {
-    "repro fast simulation core": {
-        "engine_speedup_min": (("engine", "speedup"), False),
-        "end_to_end_speedup_min": (
-            ("end_to_end", "speedup_vs_pre_pr"), True,
-        ),
-    },
     "repro batched PFS data path": {
         "server_speedup_min": (("server", "speedup"), False),
         "end_to_end_speedup_min": (

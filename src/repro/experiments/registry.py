@@ -73,7 +73,7 @@ _register("section6", "Cross-application comparison (paper section 6)",
 
 
 def _sweep(fast: bool = False, plot: bool = False) -> str:
-    from repro.experiments.sweeps import machine_sweep
+    from repro.experiments.machine_sweep import machine_sweep
 
     _data, text = machine_sweep(fast=fast)
     return text

@@ -5,8 +5,7 @@ else.  The determinism linter (:mod:`repro.analysis`) forbids
 ``os.environ`` access inside the sim-affecting packages (``sim``,
 ``pfs``, ``machine``, ``faults``, ``apps``, ``policies``,
 ``workloads``, ``pablo``): those layers call the accessors below *once
-at construction time* — ``Engine.__init__`` resolves
-:func:`fast_core`, ``PFS.__init__`` resolves :func:`fast_datapath`
+at construction time* — ``PFS.__init__`` resolves :func:`fast_datapath`
 and :func:`fast_app` — and thread the resolved values through their
 own state for the rest of the run.  That is what keeps cached-run
 keys honest: nothing consulted after run setup can drift away from
@@ -14,15 +13,18 @@ the environment the run was keyed under.
 
 The flags fall into two classes:
 
-- **Equivalence-preserving** (``REPRO_FAST_CORE``,
-  ``REPRO_FAST_DATAPATH``, ``REPRO_FAST_APP``, ``REPRO_SANITIZE``,
-  ``REPRO_TELEMETRY*``): byte-identical simulations either way
-  (asserted by the determinism batteries), so they are deliberately
-  *excluded* from run-cache keys — a cached entry is valid under any
-  setting.
+- **Equivalence-preserving** (``REPRO_FAST_DATAPATH``,
+  ``REPRO_FAST_APP``, ``REPRO_SANITIZE``, ``REPRO_TELEMETRY*``):
+  byte-identical simulations either way (asserted by the determinism
+  batteries), so they are deliberately *excluded* from run-cache keys
+  — a cached entry is valid under any setting.
 - **Operational** (``REPRO_CACHE``, ``REPRO_CACHE_DIR``,
   ``REPRO_CACHE_MAX_BYTES``): affect where/whether results are stored,
   never what they contain.
+
+The DES kernel has no flag: there is one kernel, and its ordering
+invariant (simulated time never moves backwards) is an entry check in
+``Engine.at`` and ``Engine._schedule``, not an opt-in sanitizer pass.
 
 :func:`resolved` snapshots everything at once for reports and
 diagnostics.
@@ -41,12 +43,6 @@ def _truthy(name: str, default: str = "1") -> bool:
 
 
 # -- equivalence-preserving fast paths ---------------------------------
-def fast_core() -> bool:
-    """Calendar-queue kernel with event pooling (``REPRO_FAST_CORE``,
-    default on); off selects the legacy heap kernel."""
-    return _truthy("REPRO_FAST_CORE")
-
-
 def fast_datapath() -> bool:
     """Batched PFS data path with analytic spans
     (``REPRO_FAST_DATAPATH``, default on)."""
@@ -114,7 +110,6 @@ def cache_max_bytes(default: int) -> int:
 def resolved() -> Dict[str, Union[bool, float, str, None]]:
     """One snapshot of every flag, for reports and run metadata."""
     return {
-        "fast_core": fast_core(),
         "fast_datapath": fast_datapath(),
         "fast_app": fast_app(),
         "sanitize": sanitize(),

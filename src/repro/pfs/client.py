@@ -635,7 +635,7 @@ class PFSNodeClient:
                 else:
                     # Miss: catch simulated time up to the analytic
                     # clock (never an at(now) hop, which would shift
-                    # same-bucket dispatch order) and run the real
+                    # same-timestamp dispatch order) and run the real
                     # event-stepped fetch.
                     if t > env.now:
                         yield env.at(t)

@@ -40,10 +40,9 @@ order.  An adaptive guard watches a sliding window of span outcomes
 per server and stops planning where revocation dominates, so
 pathological workloads degrade to plain event stepping instead of
 plan/revoke thrash.  ``REPRO_FAST_DATAPATH=0`` disables the whole
-path, keeping the legacy per-piece code as a determinism cross-check
-(the same pattern as ``REPRO_FAST_CORE``).
+path, keeping the legacy per-piece code as a determinism cross-check.
 
-Three implementation choices carry the constant factor (0.68x ->
+Two implementation choices carry the constant factor (0.68x ->
 ~1.5x on the contended 8-client server microbench, >= 2x end-to-end;
 committed numbers in ``BENCH_datapath.json``):
 
@@ -59,10 +58,6 @@ committed numbers in ``BENCH_datapath.json``):
   constructor that prices against chain-cached disk constants
   (``disk.plan_consts()`` is fixed while a chain is alive, the same
   quiet-time invariant revocation relies on).
-- **Direct-scheduled completion.**  Under the fast kernel the client's
-  completion event is created pre-resolved and inserted straight into
-  the bucket queue — one event end-to-end per planned request;
-  revocation removes it from its bucket when a settle arrives first.
 """
 
 from __future__ import annotations
@@ -76,7 +71,7 @@ from repro.errors import PFSError
 from repro.machine.disk import RAID3Array
 from repro.pfs.server import PLAN_IDLE
 from repro.pfs.striping import StripePiece
-from repro.sim.events import Event, NORMAL, _PENDING
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pfs.client import PFS, PFSNodeClient
@@ -436,7 +431,7 @@ class DataPath:
             # resume interleaves with other ranks' pointer advances at a
             # tied timestamp is observable.  A span's completion event
             # is inserted at plan time — much earlier in the timestamp's
-            # FIFO bucket than the legacy chain's final event — which
+            # FIFO order than the legacy chain's final event — which
             # shifts that order.  Keep these modes fully event-stepped.
             self._launch_stepped(client, state, offset, nbytes, kind,
                                  cached, done)
@@ -796,15 +791,9 @@ class DataPath:
         spans.append(span)
         server.spans_planned += 1
         span.client_event = ev = Event(env)
-        if env._fast:
-            ev._value = None
-            ev.callbacks.append(span._finish)
-            env._insert(t_client, NORMAL, ev)
-            span.t_done = t_client
-        else:
-            span.t_done = -1.0
-            trigger = env.at(t_client)
-            trigger.callbacks.append(span._finish)
+        span.t_done = t_client
+        trigger = env.at(t_client)
+        trigger.callbacks.append(span._finish)
         return ev
 
     def plan_write_at(
@@ -972,8 +961,8 @@ class DataPath:
         arrival (at or after ``t0``) cannot overtake any arrival the
         chain already planned — FIFO then makes the new grants a pure
         concatenation.  Ties are safe: the chain's event would have
-        been inserted earlier in the same timestamp bucket, which is
-        exactly the order the tail state prices.  Chain effects due by
+        been inserted earlier at the same timestamp, so it dispatches
+        first, which is exactly the order the tail state prices.  Chain effects due by
         *now* are applied first so plan-time cache lookups observe the
         same state the legacy path would.
         """
@@ -1272,39 +1261,20 @@ class FastSpan:
         if kind == "write_behind":
             # Drains outlast the ack the client waits on: post a
             # separate resolve event.  Resolve before the client
-            # trigger so same-bucket final effects (and the span's
+            # trigger so same-timestamp final effects (and the span's
             # clearing) precede the client's resumption, matching the
             # legacy completion order.
             resolve = env.at(resolve_t)
             resolve.callbacks.append(self._resolve)
-        if env._fast:
-            # Direct completion scheduling: the client event itself
-            # goes into the calendar at its completion instant, with
-            # the span's resolution hook (read / write-through) run
-            # first from its own callback list.  This replaces the
-            # trigger event plus the urgent succeed() hop without
-            # changing dispatch order: when the old trigger fired, the
-            # urgent bucket was necessarily empty (it is re-checked
-            # before every event) and the hook inserts nothing, so the
-            # client event was always the very next dispatch anyway.
-            # Revocation before ``t_done`` pulls the event back out of
-            # its bucket and rearms it (see _reconstitute).
-            ev = self.client_event
-            ev._value = None
-            if kind != "write_behind":
-                ev.callbacks.insert(0, self._finish)
-            env._insert(t_client, NORMAL, ev)
-            self.t_done = t_client
-        else:
-            # Heap entries cannot be removed, so the legacy kernel
-            # keeps the two-event scheme; a revoked span's abandoned
-            # trigger no-ops through the ``revoked`` guard.
-            self.t_done = -1.0
-            trigger = env.at(t_client)
-            trigger.callbacks.append(
-                self._client_trigger if kind == "write_behind"
-                else self._finish
-            )
+        # The client resumes through a trigger event at the planned
+        # completion instant; a revoked span's abandoned trigger
+        # no-ops through the ``revoked`` guard.
+        self.t_done = t_client
+        trigger = env.at(t_client)
+        trigger.callbacks.append(
+            self._client_trigger if kind == "write_behind"
+            else self._finish
+        )
 
     # -- natural completion ---------------------------------------------
     def _resolve(self, _ev) -> None:
@@ -1356,20 +1326,6 @@ class FastSpan:
                 "submission requires an exclusive window — no foreign "
                 "traffic may reach a batched server mid-batch"
             )
-        ev = self.client_event
-        if (
-            self.t_done >= 0.0
-            and ev.callbacks is not None
-            and ev._value is not _PENDING
-        ):
-            # The directly scheduled completion has not dispatched yet:
-            # pull it out of its calendar bucket (identity removal) and
-            # rearm the event so the reconstituted pieces can succeed
-            # it at the real completion instant.  The resolution hook
-            # left in its callback list no-ops through the ``revoked``
-            # guard.
-            self.env._buckets[self.t_done][NORMAL].remove(ev)
-            ev._value = _PENDING
         kind = self.kind
         if kind == "read":
             self._revoke_read(tau)
@@ -1793,8 +1749,8 @@ class SanitizedFastSpan(FastSpan):
       FIFO grants);
     - reconstitution only runs on spans settlement has revoked and
       already detached from their chain;
-    - a directly scheduled completion dispatches exactly at its
-      planned instant.
+    - a span's completion dispatches exactly at its planned instant
+      (``t_done``).
     """
 
     __slots__ = ()
@@ -1817,7 +1773,7 @@ class SanitizedFastSpan(FastSpan):
                 f"tail (ch={ch_arrival!r}, cpu={cpu_arrival!r}) on "
                 f"io_node={server.ionode.index}"
             )
-        if 0.0 <= self.t_done < self.t0:
+        if self.t_done < self.t0:
             sanitize.fail(
                 f"FastSpan planned completion t={self.t_done!r} "
                 f"precedes its request arrival t0={self.t0!r} "
@@ -1841,8 +1797,7 @@ class SanitizedFastSpan(FastSpan):
         FastSpan._reconstitute(self, tau)
 
     def _finish(self, _ev) -> None:
-        if (not self.revoked and self.t_done >= 0.0
-                and self.env.now != self.t_done):
+        if not self.revoked and self.env.now != self.t_done:
             sanitize.fail(
                 f"FastSpan completion dispatched at t={self.env.now!r} "
                 f"but was planned for t_done={self.t_done!r} "

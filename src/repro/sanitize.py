@@ -1,7 +1,7 @@
 """``REPRO_SANITIZE`` — runtime invariant checks for the hot layers.
 
-The repo's determinism guarantees (byte-identical SDDF across 2
-kernels x 2 datapaths x app fast-path on/off) are normally defended by
+The repo's determinism guarantees (byte-identical SDDF across both
+datapaths x app fast-path on/off) are normally defended by
 after-the-fact equivalence tests: a bug shows up as a byte-diff, often
 several PRs after it was introduced.  The sanitizer moves the failure
 to the offending line: with ``REPRO_SANITIZE=1`` the hot layers
@@ -11,26 +11,29 @@ inconsistent.
 
 Invariants covered (see ``docs/static-analysis.md`` for the catalog):
 
-- **Engine / calendar queue** — simulated time never moves backwards
-  across dispatched buckets, and no pooled event is freed twice
-  (``Engine._run_fast_sanitized``).
 - **PlanChain** — chain effects are applied in non-decreasing
   timestamp order, the applied-prefix cursor stays within bounds, the
   ``next_due`` memo is never stale-high, and settlement leaves the
   chain empty (``repro.pfs.datapath.SanitizedPlanChain``).
 - **FastSpan** — planned resource arrivals are monotone per chain
   (the append-order guard's promise), completion instants never
-  precede the request arrival, and reconstitution only runs on spans
-  the chain actually revoked (``SanitizedFastSpan``).
+  precede the request arrival, completions dispatch exactly at their
+  planned instant, and reconstitution only runs on spans the chain
+  actually revoked (``SanitizedFastSpan``).
 - **Client read buffer** — ``serve()`` re-validates the coverage and
   write-generation precondition its hot path deliberately skips
   (``repro.pfs.buffering.SanitizedReadBuffer``).
 
+The DES kernel needs no sanitizer pass: its ordering invariant
+(simulated time never moves backwards) is an always-on entry check in
+``Engine.at`` and ``Engine._schedule``, which reject a past time at
+the offending call.
+
 Wiring follows the telemetry package's zero-overhead-when-off
 pattern: the flag is consulted once per object construction
-(``Engine``, ``DataPath``, ``ReadBuffer`` selection), never per
-event, so default-mode hot loops carry no sanitizer branches.
-Sanitized runs stay byte-identical — checks only read state.
+(``DataPath``, ``ReadBuffer`` selection), never per event, so
+default-mode hot loops carry no sanitizer branches.  Sanitized runs
+stay byte-identical — checks only read state.
 """
 
 from __future__ import annotations

@@ -1,68 +1,43 @@
 """The discrete-event engine: clock, event queue, and run loop.
 
-Two run-loop implementations share the same observable schedule:
+Scheduled events live on one binary heap of ``(time, priority,
+sequence, event)`` entries.  ``priority`` orders events due at the
+same instant (URGENT triggers and process starts before NORMAL
+timeouts and absolute-time events, the ``run(until=<time>)`` stopper
+after both), and ``sequence`` breaks the remaining ties in insertion
+order, so the dispatch order is a pure function of the scheduling
+calls.
 
-- the *fast* loop (default) keeps a two-level calendar queue — a heap
-  of distinct timestamps plus per-timestamp priority buckets — so all
-  same-time events drain in one batch with O(1) inserts and pops, and
-  recycles :class:`Timeout` / ``Initialize`` events (and their callback
-  lists) through free-list pools;
-- the *legacy* loop (``REPRO_FAST_CORE=0``) is the seed kernel's
-  ``step()``-per-event path over a single ``(time, priority, seq,
-  event)`` heap, kept as an in-process baseline for the perf suite and
-  as a determinism cross-check.
-
-Both produce bit-for-bit identical simulations.  The bucket queue
-preserves the heap's dispatch order exactly: within one ``(time,
-priority)`` class the heap's sequence tiebreak equals insertion order,
-which equals bucket append order; across priorities at the same time
-the drain loop re-checks the urgent bucket before every event, just as
-the heap would surface a newly pushed urgent entry first.  Pooling
-only changes *when object storage is reused*, never the order or
-timing of events.
+Time never moves backwards: :meth:`Engine._schedule` (relative
+delays) and :meth:`Engine.at` (absolute instants) reject a past time
+at the call that asks for it, so a misuse fails at its entry point
+instead of rewinding the clock mid-run.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heapify, heappush, heappop
-from typing import TYPE_CHECKING, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Generator, Iterable, List, Optional, Tuple
 
-from repro import flags, sanitize
 from repro.errors import EmptySchedule, SimulationError, StopSimulation
 from repro.sim.events import (
     AllOf,
     AnyOf,
     Event,
-    Initialize,
     Timeout,
     NORMAL,
-    URGENT,
 )
 from repro.sim.process import Process
 
 if TYPE_CHECKING:
     from repro.telemetry.instruments import RunTelemetry
 
-#: Legacy queue entry: (time, priority, sequence, event).  ``sequence``
-#: breaks ties deterministically in insertion order.
+#: Queue entry: (time, priority, sequence, event).  ``sequence`` breaks
+#: ties deterministically in insertion order.
 _QueueItem = Tuple[float, int, int, Event]
 
-#: Fast-mode bucket: one deque per priority class (URGENT, NORMAL, and
-#: the below-normal class used by ``run(until=<time>)`` stoppers).
-_Bucket = Tuple[deque, deque, deque]
-
-#: Upper bound on each free-list pool; beyond this, events are simply
-#: dropped to the garbage collector.  Sized to the deepest concurrent
-#: event population seen in paper-scale runs (a few hundred).
-_POOL_MAX = 1024
-
-#: Never-equal sentinel marking the bucket memo invalid.
+#: Never-equal sentinel for "no timestamp reached yet".
 _NAN = float("nan")
-
-
-def _fast_core_default() -> bool:
-    return flags.fast_core()
 
 
 class Engine:
@@ -85,57 +60,17 @@ class Engine:
     'done at 2.0'
     """
 
-    __slots__ = (
-        "_now",
-        "_queue",
-        "_eid",
-        "_active_process",
-        "_fast",
-        "_times",
-        "_buckets",
-        "_bucket_pool",
-        "_memo_when",
-        "_memo_append",
-        "_timeout_pool",
-        "_init_pool",
-        "_cb_pool",
-        "_probe",
-        "_sanitize",
-    )
+    __slots__ = ("_now", "_queue", "_eid", "_active_process", "_probe")
 
-    def __init__(
-        self, initial_time: float = 0.0, fast: Optional[bool] = None
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Legacy heap (used when ``fast`` is off).
         self._queue: List[_QueueItem] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: Fast run loop + calendar queue + event recycling.
-        self._fast = _fast_core_default() if fast is None else bool(fast)
-        #: Heap of distinct timestamps with pending buckets.
-        self._times: List[float] = []
-        #: timestamp -> (urgent, normal, late) deques.
-        self._buckets: Dict[float, _Bucket] = {}
-        self._bucket_pool: List[_Bucket] = []
-        #: Memo of the most recent timeout-insertion target: bursts of
-        #: same-time timeouts (barriers, stripe fan-outs) append without
-        #: re-resolving the bucket.  ``nan`` never compares equal, so it
-        #: marks the memo invalid (set whenever a bucket is retired).
-        self._memo_when: float = _NAN
-        self._memo_append = None
-        self._timeout_pool: List[Timeout] = []
-        self._init_pool: List[Initialize] = []
-        self._cb_pool: List[list] = []
         #: Telemetry probe (repro.telemetry).  When attached, ``run()``
         #: selects an instrumented copy of the dispatch loop; the
-        #: default loops carry no telemetry branches at all.
+        #: default loop carries no telemetry branches at all.
         self._probe = None
-        #: REPRO_SANITIZE (repro.sanitize) — resolved once here, like
-        #: the fast-core flag.  When set, ``run()`` selects the
-        #: invariant-checking copy of the fast loop; the default loops
-        #: carry no sanitizer branches at all.
-        self._sanitize = sanitize.enabled()
 
     # -- clock -----------------------------------------------------------
     @property
@@ -155,55 +90,7 @@ class Engine:
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
-            ev = pool.pop()
-            cb_pool = self._cb_pool
-            ev.callbacks = cb_pool.pop() if cb_pool else []
-            ev._value = value
-            ev._ok = True
-            ev._defused = False
-            ev._pooled = True
-            ev.delay = delay
-            when = self._now + delay
-            if when == self._memo_when:
-                self._memo_append(ev)
-                return ev
-            bucket = self._buckets.get(when)
-            if bucket is None:
-                heappush(self._times, when)
-                bpool = self._bucket_pool
-                bucket = bpool.pop() if bpool else (deque(), deque(), deque())
-                self._buckets[when] = bucket
-            self._memo_when = when
-            append = bucket[1].append  # NORMAL
-            self._memo_append = append
-            append(ev)
-            return ev
-        ev = Timeout(self, delay, value)
-        if self._fast:
-            ev._pooled = True
-        return ev
-
-    def _init_event(self) -> Initialize:
-        """An :class:`Initialize` event, recycled when possible."""
-        pool = self._init_pool
-        if pool:
-            ev = pool.pop()
-            cb_pool = self._cb_pool
-            ev.callbacks = cb_pool.pop() if cb_pool else []
-            ev._value = None
-            ev._ok = True
-            ev._defused = False
-            ev._pooled = True
-            self._insert(self._now, URGENT, ev)
-            return ev
-        ev = Initialize(self)
-        if self._fast:
-            ev._pooled = True
-        return ev
+        return Timeout(self, delay, value)
 
     def at(self, when: float, value: object = None) -> Event:
         """An event that triggers at the *absolute* time ``when``.
@@ -220,11 +107,8 @@ class Engine:
         ev = Event(self)
         ev._ok = True
         ev._value = value
-        if self._fast:
-            self._insert(when, NORMAL, ev)
-        else:
-            self._eid += 1
-            heappush(self._queue, (when, NORMAL, self._eid, ev))
+        self._eid += 1
+        heappush(self._queue, (when, NORMAL, self._eid, ev))
         return ev
 
     def process(
@@ -244,112 +128,42 @@ class Engine:
         return AnyOf(self, events)
 
     # -- scheduling (internal API used by events) --------------------------
-    def _insert(self, when: float, priority: int, event: Event) -> None:
-        """Fast-mode calendar insert at absolute time ``when``."""
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            heappush(self._times, when)
-            bpool = self._bucket_pool
-            bucket = bpool.pop() if bpool else (deque(), deque(), deque())
-            self._buckets[when] = bucket
-        bucket[priority].append(event)
-
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if self._fast:
-            self._insert(self._now + delay, priority, event)
-        else:
-            self._eid += 1
-            heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        self._eid += 1
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def attach_probe(self, probe: object) -> None:
         """Attach a telemetry probe (see :mod:`repro.telemetry`).
 
         The probe receives ``on_advance(now)`` once per distinct
         timestamp and per-event counter bumps, and must only *read*
-        simulator state: the instrumented loops dispatch the exact
-        same events in the exact same order as the default ones.
+        simulator state: the instrumented loop dispatches the exact
+        same events in the exact same order as the default one.
         """
         self._probe = probe
 
     # -- run loop ----------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._fast:
-            times = self._times
-            buckets = self._buckets
-            while times:
-                when = times[0]
-                bucket = buckets[when]
-                if bucket[0] or bucket[1] or bucket[2]:
-                    return when
-                # Drained or defused in place (e.g. a removed stopper):
-                # discard lazily.
-                del buckets[when]
-                heappop(times)
-                if when == self._memo_when:
-                    self._memo_when = _NAN
-                if len(self._bucket_pool) < _POOL_MAX:
-                    self._bucket_pool.append(bucket)
-            return float("inf")
         return self._queue[0][0] if self._queue else float("inf")
-
-    def _pop_next(self) -> Event:
-        """Fast mode: remove and return the next event, advancing time."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            if bucket[0]:
-                event = bucket[0].popleft()
-            elif bucket[1]:
-                event = bucket[1].popleft()
-            elif bucket[2]:
-                event = bucket[2].popleft()
-            else:
-                del buckets[when]
-                heappop(times)
-                if when == self._memo_when:
-                    self._memo_when = _NAN
-                if len(self._bucket_pool) < _POOL_MAX:
-                    self._bucket_pool.append(bucket)
-                continue
-            self._now = when
-            return event
-        raise EmptySchedule("no scheduled events remain")
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to it."""
-        if self._fast:
-            event = self._pop_next()
-        else:
-            try:
-                when, _prio, _eid, event = heappop(self._queue)
-            except IndexError:
-                raise EmptySchedule("no scheduled events remain") from None
-            self._now = when
+        try:
+            when, _prio, _eid, event = heappop(self._queue)
+        except IndexError:
+            raise EmptySchedule("no scheduled events remain") from None
+        self._now = when
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             raise SimulationError(f"{event!r} processed twice")
         for callback in callbacks:
             callback(event)
-
         if not event._ok and not event._defused:
-            # An unhandled failure crashes the simulation, mirroring an
-            # uncaught exception in a thread.
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(f"event failed with non-exception {exc!r}")
-
-    def _pending(self) -> bool:
-        """Whether any event remains scheduled."""
-        if self._fast:
-            return self.peek() != float("inf")
-        return bool(self._queue)
+            _crash(event)
 
     def run(self, until: object = None) -> object:
         """Run until the queue drains, a time is reached, or an event fires.
@@ -364,15 +178,12 @@ class Engine:
         """
         stop_event: Optional[Event] = None
         stopper: Optional[Event] = None
-        at = 0.0
         if until is not None:
             if isinstance(until, Event):
                 stop_event = until
                 if stop_event.callbacks is None:
                     # Already processed.
                     return stop_event.value
-                # Pin: the caller reads ``.value`` after the run.
-                stop_event._pooled = False
                 stop_event.callbacks.append(self._stop_on_event)
             else:
                 at = float(until)
@@ -385,51 +196,29 @@ class Engine:
                 stopper._value = None
                 stopper.callbacks.append(self._stop_on_event)
                 # Priority below NORMAL so same-time events run first.
-                if self._fast:
-                    self._insert(at, NORMAL + 1, stopper)
-                else:
-                    self._eid += 1
-                    heappush(self._queue, (at, NORMAL + 1, self._eid, stopper))
+                self._eid += 1
+                heappush(self._queue, (at, NORMAL + 1, self._eid, stopper))
 
         try:
             probe = self._probe
-            if self._fast:
-                if self._sanitize:
-                    self._run_fast_sanitized(probe)
-                elif probe is None:
-                    self._run_fast()
-                else:
-                    self._run_fast_instrumented(probe)
-            elif probe is None:
-                while self._queue:
-                    self.step()
+            if probe is None:
+                self._run_loop()
             else:
-                self._run_legacy_instrumented(probe)
+                self._run_instrumented(probe)
         except StopSimulation as stop:
             return stop.value
-        except EmptySchedule:
-            pass
         finally:
             if stopper is not None and stopper.callbacks is not None:
                 # The run ended some other way (another event raised
                 # StopSimulation, or the queue drained early): remove the
                 # pending stopper so it can't pollute ``peek()`` or a
                 # later ``run()``.
-                if self._fast:
-                    bucket = self._buckets.get(at)
-                    if bucket is not None:
-                        try:
-                            bucket[2].remove(stopper)
-                        except ValueError:  # pragma: no cover - defensive
-                            pass
-                else:
-                    self._queue = [
-                        item for item in self._queue if item[3] is not stopper
-                    ]
-                    heapify(self._queue)
+                queue = self._queue
+                queue[:] = [item for item in queue if item[3] is not stopper]
+                heapify(queue)
                 stopper.callbacks = None
 
-        if stop_event is not None and isinstance(until, Event):
+        if stop_event is not None:
             if not stop_event.triggered:
                 raise SimulationError(
                     "run(until=event) finished but the event never triggered"
@@ -437,278 +226,52 @@ class Engine:
             return stop_event.value
         return None
 
-    def _run_fast(self) -> None:
-        """Batch-draining dispatch loop with event recycling.
+    def _run_loop(self) -> None:
+        """Dispatch events in heap order until the queue drains.
 
-        Pops each distinct timestamp off the time heap once, then
-        drains its whole bucket with O(1) deque pops — re-checking the
-        urgent bucket before every event so a callback that schedules
-        an urgent same-time event preserves heap dispatch order.
-        Processed :class:`Timeout` / ``Initialize`` events (plus their
-        callback lists and emptied buckets) return to free-list pools
-        unless pinned.
+        :meth:`step` inlined: the loop runs once per event, hundreds
+        of thousands of times per paper-scale run.
         """
-        times = self._times
-        buckets = self._buckets
-        bucket_pool = self._bucket_pool
-        timeout_pool = self._timeout_pool
-        init_pool = self._init_pool
-        cb_pool = self._cb_pool
-        timeout_cls = Timeout
-        init_cls = Initialize
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            urgent, normal, late = bucket
-            pop_urgent = urgent.popleft
-            pop_normal = normal.popleft
-            pop_late = late.popleft
+        queue = self._queue
+        while queue:
+            when, _prio, _eid, event = heappop(queue)
             self._now = when
-            while True:
-                if urgent:
-                    event = pop_urgent()
-                elif normal:
-                    event = pop_normal()
-                elif late:
-                    event = pop_late()
-                else:
-                    break
-                callbacks = event.callbacks
-                if callbacks is None:
-                    raise SimulationError(f"{event!r} processed twice")
-                event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
+            callbacks, event.callbacks = event.callbacks, None
+            if callbacks is None:
+                raise SimulationError(f"{event!r} processed twice")
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                _crash(event)
 
-                if not event._ok and not event._defused:
-                    # An unhandled failure crashes the simulation,
-                    # mirroring an uncaught exception in a thread.
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(
-                        f"event failed with non-exception {exc!r}"
-                    )
+    def _run_instrumented(self, probe: "RunTelemetry") -> None:
+        """:meth:`_run_loop` with telemetry counting and sim-time hooks.
 
-                if event._pooled:
-                    cls = event.__class__
-                    if cls is timeout_cls:
-                        if len(timeout_pool) < _POOL_MAX:
-                            timeout_pool.append(event)
-                    elif cls is init_cls and len(init_pool) < _POOL_MAX:
-                        init_pool.append(event)
-                if len(cb_pool) < _POOL_MAX:
-                    callbacks.clear()
-                    cb_pool.append(callbacks)
-            del buckets[when]
-            heappop(times)
-            self._memo_when = _NAN
-            if len(bucket_pool) < _POOL_MAX:
-                bucket_pool.append(bucket)
-
-    def _run_fast_instrumented(self, probe: "RunTelemetry") -> None:
-        """:meth:`_run_fast` with telemetry counting and sim-time hooks.
-
-        A verbatim copy of the fast loop plus probe bookkeeping; kept
-        separate (selected once per ``run()``) so the uninstrumented
-        loop pays nothing.  The probe only reads state, so dispatch
-        order and timing are identical to :meth:`_run_fast`.
-        """
-        times = self._times
-        buckets = self._buckets
-        bucket_pool = self._bucket_pool
-        timeout_pool = self._timeout_pool
-        init_pool = self._init_pool
-        cb_pool = self._cb_pool
-        timeout_cls = Timeout
-        init_cls = Initialize
-        probe_advance = probe.on_advance
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            urgent, normal, late = bucket
-            pop_urgent = urgent.popleft
-            pop_normal = normal.popleft
-            pop_late = late.popleft
-            self._now = when
-            events_before = probe.events
-            while True:
-                if urgent:
-                    event = pop_urgent()
-                elif normal:
-                    event = pop_normal()
-                elif late:
-                    event = pop_late()
-                else:
-                    break
-                probe.events += 1
-                callbacks = event.callbacks
-                if callbacks is None:
-                    raise SimulationError(f"{event!r} processed twice")
-                event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(
-                        f"event failed with non-exception {exc!r}"
-                    )
-
-                if event._pooled:
-                    cls = event.__class__
-                    if cls is timeout_cls:
-                        if len(timeout_pool) < _POOL_MAX:
-                            timeout_pool.append(event)
-                    elif cls is init_cls and len(init_pool) < _POOL_MAX:
-                        init_pool.append(event)
-                if len(cb_pool) < _POOL_MAX:
-                    callbacks.clear()
-                    cb_pool.append(callbacks)
-            if probe.events != events_before:
-                probe.timestamps += 1
-                probe_advance(when)
-            del buckets[when]
-            heappop(times)
-            self._memo_when = _NAN
-            if len(bucket_pool) < _POOL_MAX:
-                bucket_pool.append(bucket)
-
-    def _run_fast_sanitized(self, probe: "Optional[RunTelemetry]") -> None:
-        """:meth:`_run_fast` with runtime invariant checks
-        (``REPRO_SANITIZE=1``, see :mod:`repro.sanitize`).
-
-        A copy of the fast loop plus two families of checks the
-        default loop omits by design:
-
-        - **calendar ordering** — each drained timestamp must be at or
-          after the previous one and at or after the clock (a
-          violation means something inserted into the past, which the
-          default loop would follow silently, rewinding time);
-        - **pool double-free** — a recycled event must not already sit
-          in its free pool (a double-free aliases two future timeouts
-          onto one object, corrupting an arbitrarily later dispatch).
-
-        The checks only read state, so a sanitized run dispatches the
-        exact same events in the exact same order.  Probe bookkeeping
-        is folded in behind ``if`` guards rather than as a fourth loop
-        copy: sanitized runs are diagnostic, not benchmark, mode.
-        """
-        times = self._times
-        buckets = self._buckets
-        bucket_pool = self._bucket_pool
-        timeout_pool = self._timeout_pool
-        init_pool = self._init_pool
-        cb_pool = self._cb_pool
-        timeout_cls = Timeout
-        init_cls = Initialize
-        last_when = self._now
-        while times:
-            when = times[0]
-            if when < last_when:
-                sanitize.fail(
-                    f"calendar queue moved backwards: dispatching "
-                    f"t={when!r} after t={last_when!r}"
-                )
-            last_when = when
-            bucket = buckets[when]
-            urgent, normal, late = bucket
-            pop_urgent = urgent.popleft
-            pop_normal = normal.popleft
-            pop_late = late.popleft
-            self._now = when
-            events_before = probe.events if probe is not None else 0
-            while True:
-                if urgent:
-                    event = pop_urgent()
-                elif normal:
-                    event = pop_normal()
-                elif late:
-                    event = pop_late()
-                else:
-                    break
-                if probe is not None:
-                    probe.events += 1
-                callbacks = event.callbacks
-                if callbacks is None:
-                    raise SimulationError(f"{event!r} processed twice")
-                event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(
-                        f"event failed with non-exception {exc!r}"
-                    )
-
-                if event._pooled:
-                    cls = event.__class__
-                    if cls is timeout_cls:
-                        if len(timeout_pool) < _POOL_MAX:
-                            for pooled in timeout_pool:
-                                if pooled is event:
-                                    sanitize.fail(
-                                        f"event pool double-free: {event!r} "
-                                        "recycled while already in the "
-                                        "timeout free list"
-                                    )
-                            timeout_pool.append(event)
-                    elif cls is init_cls and len(init_pool) < _POOL_MAX:
-                        for pooled in init_pool:
-                            if pooled is event:
-                                sanitize.fail(
-                                    f"event pool double-free: {event!r} "
-                                    "recycled while already in the "
-                                    "initialize free list"
-                                )
-                        init_pool.append(event)
-                if len(cb_pool) < _POOL_MAX:
-                    callbacks.clear()
-                    cb_pool.append(callbacks)
-            if probe is not None and probe.events != events_before:
-                probe.timestamps += 1
-                probe.on_advance(when)
-            del buckets[when]
-            popped = heappop(times)
-            if popped != when:
-                # A callback inserted a timestamp BEHIND the bucket
-                # being drained: the heap head moved under the loop.
-                # The default loop would crash later with a bare
-                # KeyError on the already-deleted bucket.
-                sanitize.fail(
-                    f"calendar queue moved backwards: t={popped!r} was "
-                    f"inserted behind the draining bucket t={when!r}"
-                )
-            self._memo_when = _NAN
-            if len(bucket_pool) < _POOL_MAX:
-                bucket_pool.append(bucket)
-
-    def _run_legacy_instrumented(self, probe: "RunTelemetry") -> None:
-        """Legacy ``step()`` loop with the same probe semantics.
-
-        ``on_advance(t)`` fires after the last event at ``t``, i.e.
-        when the head of the queue moves to a later time or the queue
-        drains — matching the fast loop's after-the-bucket hook.
+        A copy of the plain loop plus probe bookkeeping, selected once
+        per ``run()`` so the plain loop pays nothing.  ``on_advance(t)``
+        fires after the last event at ``t``: when the head of the queue
+        moves to a later time, or the queue drains.  The probe only
+        reads state, so dispatch order and timing are identical.
         """
         queue = self._queue
         last = _NAN
         while queue:
-            when = queue[0][0]
+            when, _prio, _eid, event = queue[0]
             if when != last:
                 if last == last:  # not the NAN sentinel
                     probe.on_advance(last)
                 probe.timestamps += 1
                 last = when
+            heappop(queue)
             probe.events += 1
-            self.step()
+            self._now = when
+            callbacks, event.callbacks = event.callbacks, None
+            if callbacks is None:
+                raise SimulationError(f"{event!r} processed twice")
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                _crash(event)
         if last == last:
             probe.on_advance(last)
 
@@ -721,11 +284,13 @@ class Engine:
         raise StopSimulation(event._value)
 
     def __repr__(self) -> str:
-        if self._fast:
-            queued = sum(
-                len(b[0]) + len(b[1]) + len(b[2])
-                for b in self._buckets.values()
-            )
-        else:
-            queued = len(self._queue)
-        return f"<Engine t={self._now:.6f} queued={queued}>"
+        return f"<Engine t={self._now:.6f} queued={len(self._queue)}>"
+
+
+def _crash(event: Event) -> None:
+    """Raise an unhandled event failure, crashing the simulation the way
+    an uncaught exception ends a thread."""
+    exc = event._value
+    if isinstance(exc, BaseException):
+        raise exc
+    raise SimulationError(f"event failed with non-exception {exc!r}")

@@ -37,7 +37,7 @@ class Event:
         The owning :class:`~repro.sim.engine.Engine`.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_pooled")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Engine") -> None:
         self.env = env
@@ -47,11 +47,6 @@ class Event:
         self._value: object = _PENDING
         self._ok: bool = True
         self._defused: bool = False
-        #: True while the engine owns this event's storage and may
-        #: recycle it after processing.  Anything that keeps a reference
-        #: past the callbacks (conditions, ``run(until=event)``) clears
-        #: this to *pin* the event.
-        self._pooled: bool = False
 
     # -- state ---------------------------------------------------------
     @property
@@ -226,9 +221,6 @@ class Condition(Event):
         for event in self._events:
             if event.env is not env:
                 raise SimulationError("events from different engines mixed")
-            # Pin members: ConditionValue exposes them (``result[t1]``)
-            # after processing, so the engine must never recycle them.
-            event._pooled = False
 
         if not self._events or self._evaluate(self._events, 0):
             self.succeed(ConditionValue([]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Event, Initialize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -62,7 +62,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently waiting on (None when
         #: running or finished).
-        self._target: Optional[Event] = env._init_event()
+        self._target: Optional[Event] = Initialize(env)
         self._target.callbacks.append(self._resume)
 
     @property

@@ -82,19 +82,6 @@ class RunTelemetry:
             "sim_clock_seconds", lambda: env.now,
             help="Current simulated time",
         )
-        # Calendar-queue internals (fast kernel; zeros on legacy).
-        reg.gauge_fn(
-            "sim_calendar_buckets", lambda: len(env._buckets),
-            help="Live calendar-queue buckets",
-        )
-        reg.gauge_fn(
-            "sim_pool_timeouts", lambda: len(env._timeout_pool),
-            help="Pooled Timeout events available for reuse",
-        )
-        reg.gauge_fn(
-            "sim_pool_buckets", lambda: len(env._bucket_pool),
-            help="Pooled calendar buckets available for reuse",
-        )
 
         net = self.machine.network
         reg.gauge_fn(
@@ -348,7 +335,6 @@ class RunTelemetry:
             "sim_seconds": now,
             "wall_seconds": self.wall_seconds,
             "engine": {
-                "kernel": "fast" if env._fast else "legacy",
                 "events": self.probe.events,
                 "timestamps": self.probe.timestamps,
                 "events_per_timestamp": (
@@ -438,7 +424,7 @@ def render_summary(snapshot: dict, top: int = 5) -> str:
     lines.append(
         f"run: {snapshot['sim_seconds']:.3f} sim-s in "
         f"{snapshot['wall_seconds']:.3f} wall-s "
-        f"({eng['kernel']} kernel, {eng['events']} events over "
+        f"({eng['events']} events over "
         f"{eng['timestamps']} timestamps, "
         f"{eng['events_per_timestamp']:.2f} events/timestamp)"
     )

@@ -74,8 +74,8 @@ class EngineProbe:
     """Counters fed by the engine's instrumented run loop.
 
     ``events`` counts dispatched events, ``timestamps`` counts distinct
-    clock values — their ratio is the calendar queue's batching factor
-    (events drained per bucket).  ``on_advance`` forwards to the
+    clock values — their ratio is the mean number of events dispatched
+    per simulated instant.  ``on_advance`` forwards to the
     sampler.  The probe holds plain ints; the instrumented loop updates
     them with attribute adds, no method-call overhead per event.
     """

@@ -4,11 +4,11 @@ Batched submission (``PFS.read_batch`` / ``PFS.write_batch``), the
 vectorized channel schedules feeding it, and bulk trace capture are
 pure performance features: every workload must produce the
 byte-identical SDDF trace — and therefore identical Table-2/Table-3
-rows — with the fast path on and off, under both DES kernels and both
-data paths, with and without fault injection.  These tests drive the
-full ESCAT and PRISM version progressions through all four
-kernel × datapath combinations and compare complete outputs, plus a
-synthetic write-behind workload whose cache drains mid-batch.
+rows — with the fast path on and off, under both data paths, with and
+without fault injection.  These tests drive the full ESCAT and PRISM
+version progressions through both datapaths and compare complete
+outputs, plus a synthetic write-behind workload whose cache drains
+mid-batch.
 """
 
 import io
@@ -55,23 +55,19 @@ def _fingerprint(app, version, fault_plan=None):
     return out.getvalue(), result.wall_time, b.totals, b.counts, rows
 
 
-def _cell(monkeypatch, fast_core, fast_datapath, fast_app):
-    monkeypatch.setenv("REPRO_FAST_CORE", "1" if fast_core else "0")
+def _cell(monkeypatch, fast_datapath, fast_app):
     monkeypatch.setenv("REPRO_FAST_DATAPATH", "1" if fast_datapath else "0")
     monkeypatch.setenv("REPRO_FAST_APP", "1" if fast_app else "0")
 
 
-@pytest.mark.parametrize("fast_core", [True, False], ids=["fc", "lc"])
 @pytest.mark.parametrize("fast_datapath", [True, False], ids=["fd", "ld"])
 @pytest.mark.parametrize(
     "app,version", APP_VERSIONS, ids=[f"{a}-{v}" for a, v in APP_VERSIONS]
 )
-def test_fast_app_matches_stepped(
-    app, version, fast_datapath, fast_core, monkeypatch
-):
-    _cell(monkeypatch, fast_core, fast_datapath, True)
+def test_fast_app_matches_stepped(app, version, fast_datapath, monkeypatch):
+    _cell(monkeypatch, fast_datapath, True)
     fast = _fingerprint(app, version)
-    _cell(monkeypatch, fast_core, fast_datapath, False)
+    _cell(monkeypatch, fast_datapath, False)
     stepped = _fingerprint(app, version)
     assert fast == stepped
 
@@ -81,10 +77,10 @@ def test_fast_app_matches_stepped_faulted(fast_datapath, monkeypatch):
     """Fault-plan cell: retries and degraded service mid-run must not
     perturb batch equivalence (the eligibility gate consults the fault
     schedule; ineligible windows fall back to stepped submission)."""
-    _cell(monkeypatch, True, fast_datapath, True)
+    _cell(monkeypatch, fast_datapath, True)
     plan = FaultPlan.seeded(seed=7, horizon=66.0, n_io_nodes=16)
     fast = _fingerprint("escat", "A", fault_plan=plan)
-    _cell(monkeypatch, True, fast_datapath, False)
+    _cell(monkeypatch, fast_datapath, False)
     plan = FaultPlan.seeded(seed=7, horizon=66.0, n_io_nodes=16)
     stepped = _fingerprint("escat", "A", fault_plan=plan)
     assert fast == stepped
@@ -93,7 +89,7 @@ def test_fast_app_matches_stepped_faulted(fast_datapath, monkeypatch):
 def test_fast_app_counters_fire(monkeypatch):
     """The equivalence above is vacuous if the batch path silently
     falls back everywhere; the run counters prove it engaged."""
-    _cell(monkeypatch, True, True, True)
+    _cell(monkeypatch, True, True)
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
     result = _run_app("escat", "A")
     app = result.telemetry["app"]

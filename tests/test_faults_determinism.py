@@ -1,12 +1,12 @@
 """Fault-injection determinism guarantees.
 
-Three invariants, each across both DES kernels and both data paths:
+Three invariants, each across both data paths:
 
 1. A run with *no* fault engine and a run with an engine carrying an
    empty plan produce byte-identical SDDF traces — attaching the
    machinery costs nothing observable.
-2. A seeded fault plan produces byte-identical SDDF traces under every
-   kernel/datapath combination — faults do not break the simulator's
+2. A seeded fault plan produces byte-identical SDDF traces under both
+   datapaths — faults do not break the simulator's
    cross-implementation equivalence.
 3. The chaos report is a pure function of its seed.
 """
@@ -21,11 +21,10 @@ from repro.pablo.sddf import write_sddf
 
 SEED = 1996
 
-COMBOS = [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+DATAPATHS = ["0", "1"]
 
 
-def _sddf(monkeypatch, fast_core, fast_datapath, fault_plan):
-    monkeypatch.setenv("REPRO_FAST_CORE", fast_core)
+def _sddf(monkeypatch, fast_datapath, fault_plan):
     monkeypatch.setenv("REPRO_FAST_DATAPATH", fast_datapath)
     problem = scaled_escat_problem()
     result = run_escat("A", problem, seed=SEED, fault_plan=fault_plan)
@@ -34,23 +33,20 @@ def _sddf(monkeypatch, fast_core, fast_datapath, fault_plan):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("core,datapath", COMBOS)
-def test_zero_fault_plan_is_invisible(monkeypatch, core, datapath):
-    bare = _sddf(monkeypatch, core, datapath, None)
-    engined = _sddf(monkeypatch, core, datapath, FaultPlan())
+@pytest.mark.parametrize("datapath", DATAPATHS)
+def test_zero_fault_plan_is_invisible(monkeypatch, datapath):
+    bare = _sddf(monkeypatch, datapath, None)
+    engined = _sddf(monkeypatch, datapath, FaultPlan())
     assert bare == engined
 
 
-def test_seeded_plan_identical_across_kernels_and_datapaths(monkeypatch):
+def test_seeded_plan_identical_across_datapaths(monkeypatch):
     plan = FaultPlan.seeded(seed=7, horizon=66.0, n_io_nodes=16)
-    traces = {
-        (core, dp): _sddf(monkeypatch, core, dp, plan)
-        for core, dp in COMBOS
-    }
-    reference = traces[("1", "1")]
-    assert all(t == reference for t in traces.values())
+    traces = {dp: _sddf(monkeypatch, dp, plan) for dp in DATAPATHS}
+    reference = traces["1"]
+    assert traces["0"] == reference
     # And it is genuinely a different run from the healthy one.
-    assert reference != _sddf(monkeypatch, "1", "1", None)
+    assert reference != _sddf(monkeypatch, "1", None)
 
 
 def test_chaos_report_is_reproducible():

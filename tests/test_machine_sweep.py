@@ -1,7 +1,7 @@
 """Tests for the machine-configuration sweep experiment."""
 
 from repro.experiments import clear_cache, run_experiment
-from repro.experiments.sweeps import machine_sweep
+from repro.experiments.machine_sweep import machine_sweep
 
 
 def test_machine_sweep_fast():

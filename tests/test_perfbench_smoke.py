@@ -20,14 +20,13 @@ def test_churn_workload_counts_events():
     assert env.peek() == float("inf") or env.peek() > 0  # drained cleanly
 
 
-def test_compare_reports_both_kernels():
-    out = perfbench._compare(
-        lambda env: perfbench._churn(env, 5_000, fan=255), repeats=1
+def test_measure_reports_kernel_rate():
+    out = perfbench._measure(
+        lambda env: perfbench._churn(env, 5_000, fan=255), repeats=3
     )
-    assert out["legacy_events_per_s"] > 0
-    assert out["fast_events_per_s"] > 0
-    assert out["speedup"] > 0
-    assert out["repeats"] == 1
+    low, high = out["events_per_s_range"]
+    assert 0 < low <= out["events_per_s"] <= high
+    assert out["repeats"] == 3
 
 
 def test_tracer_bench_shape():
@@ -42,12 +41,12 @@ def test_report_render_and_write(tmp_path):
         "benchmark": "repro fast simulation core",
         "quick": True,
         "engine": {
-            "legacy_events_per_s": 100, "fast_events_per_s": 400,
-            "speedup": 4.0, "repeats": 1, "workload": "w",
+            "events_per_s": 400_000, "events_per_s_range": [390_000, 410_000],
+            "repeats": 5, "workload": "w",
         },
         "engine_process_driven": {
-            "legacy_events_per_s": 100, "fast_events_per_s": 200,
-            "speedup": 2.0, "repeats": 1, "workload": "w",
+            "events_per_s": 200_000, "events_per_s_range": [190_000, 210_000],
+            "repeats": 3, "workload": "w",
         },
         "tracer": {
             "records_per_s": 1000, "finish_records_per_s": 1000,
@@ -55,21 +54,16 @@ def test_report_render_and_write(tmp_path):
         },
         "end_to_end": {
             "fresh_wall_s": 1.0, "cached_wall_s": 0.5, "records": 10,
-            "speedup_vs_pre_pr": 5.0, "cached_speedup_vs_pre_pr": 10.0,
-        },
-        "baseline_pre_pr": perfbench.PRE_PR_BASELINE,
-        "criteria": {
-            **perfbench.CRITERIA, "engine_ok": True, "end_to_end_ok": True,
         },
         "environment": {},
         "suite_wall_s": 2.0,
     }
     text = perfbench.render(payload)
-    assert "speedup 4.00x" in text
-    assert "ok" in text
+    assert "400,000 events/s" in text
+    assert "escat-A cached    0.50s" in text
     out = tmp_path / "BENCH_core.json"
     perfbench.write_report(payload, str(out))
-    assert json.loads(out.read_text())["engine"]["speedup"] == 4.0
+    assert json.loads(out.read_text())["engine"]["events_per_s"] == 400_000
 
 
 def test_datapath_decomposition_bench_shape():

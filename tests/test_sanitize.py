@@ -22,10 +22,16 @@ from repro.pfs.buffering import (
     SanitizedReadBuffer,
     make_read_buffer,
 )
-from repro.pfs.datapath import PlanChain, SanitizedPlanChain, _E_SEND, _INF
+from repro.pfs.datapath import (
+    FastSpan,
+    PlanChain,
+    SanitizedFastSpan,
+    SanitizedPlanChain,
+    _E_SEND,
+    _INF,
+)
 from repro.pfs.file import Extent
 from repro.sim import Engine
-from repro.sim.events import Event, NORMAL
 
 
 @pytest.fixture
@@ -33,6 +39,13 @@ def sanitized():
     sanitize.set_enabled(True)
     yield
     sanitize.set_enabled(None)
+
+
+@pytest.fixture
+def batched_datapath(monkeypatch):
+    # PlanChain and FastSpan exist only on the batched datapath; pin it
+    # so these cells hold in the REPRO_FAST_DATAPATH=0 CI cell too.
+    monkeypatch.setenv("REPRO_FAST_DATAPATH", "1")
 
 
 @pytest.fixture
@@ -109,7 +122,9 @@ def test_planchain_stale_next_due_caught():
         chain.apply_until(3.0)
 
 
-def test_planchain_injected_bug_end_to_end(sanitized, monkeypatch):
+def test_planchain_injected_bug_end_to_end(
+    sanitized, batched_datapath, monkeypatch
+):
     # Corrupt every chain the datapath plans: reverse the unapplied
     # tail and clear the dirty flag as each span lands.
     orig_add = PlanChain.add
@@ -126,7 +141,9 @@ def test_planchain_injected_bug_end_to_end(sanitized, monkeypatch):
         run_escat("B", scaled_escat_problem(8))
 
 
-def test_planchain_injected_bug_silent_without_sanitize(unsanitized, monkeypatch):
+def test_planchain_injected_bug_silent_without_sanitize(
+    unsanitized, batched_datapath, monkeypatch
+):
     orig_add = PlanChain.add
 
     def corrupting_add(self, span):
@@ -142,75 +159,52 @@ def test_planchain_injected_bug_silent_without_sanitize(unsanitized, monkeypatch
 
 
 # ---------------------------------------------------------------------
-# Engine: calendar ordering + pool double-free
+# FastSpan: planned completion instant
 # ---------------------------------------------------------------------
 
-def _insert_past_event(env):
-    def proc(env):
-        yield env.timeout(10.0)
-        ev = Event(env)
-        ev._ok = True
-        env._insert(env.now - 5.0, NORMAL, ev)
-        yield env.timeout(1.0)
+def _run_misplanned(monkeypatch, corrupt):
+    """A sanitized ESCAT-B run whose span planner records a corrupted
+    timeline: ``corrupt(span)`` runs as soon as each span is priced,
+    before the sanitized checks see it."""
+    orig_init = FastSpan.__init__
 
-    env.process(proc(env))
+    def misplanning_init(self, *args, **kwargs):
+        orig_init(self, *args, **kwargs)
+        # Every span records its planned completion instant; a
+        # sentinel here would silently switch both checks off.
+        assert self.t0 <= self.t_done
+        corrupt(self)
 
-
-def _rewind_between_runs(env):
-    env.run(until=10.0)
-    ev = Event(env)
-    ev._ok = True
-    env._insert(5.0, NORMAL, ev)
-    dispatched_at = []
-    ev.callbacks.append(lambda _ev: dispatched_at.append(env.now))
-    return dispatched_at
+    monkeypatch.setattr(FastSpan, "__init__", misplanning_init)
+    run_escat("B", scaled_escat_problem(8))
 
 
-def test_engine_midrun_past_insert_caught(sanitized):
-    env = Engine()
-    _insert_past_event(env)
-    with pytest.raises(SanitizeError, match="moved backwards"):
-        env.run()
+def test_fastspan_completion_before_arrival_caught(
+    sanitized, batched_datapath, monkeypatch
+):
+    def completion_before_arrival(span):
+        span.t_done = span.t0 - 1.0
+
+    with pytest.raises(SanitizeError, match="precedes its request arrival"):
+        _run_misplanned(monkeypatch, completion_before_arrival)
 
 
-def test_engine_midrun_past_insert_confusing_by_default(unsanitized):
-    # Without the sanitizer the same corruption surfaces as a bare
-    # KeyError on an already-retired bucket, far from the cause.
-    env = Engine()
-    _insert_past_event(env)
-    with pytest.raises(KeyError):
-        env.run()
+def test_fastspan_completion_off_plan_caught(
+    sanitized, batched_datapath, monkeypatch
+):
+    # The trigger still fires at the priced instant, so every span that
+    # completes naturally now finishes away from its recorded plan.
+    def completion_recorded_late(span):
+        span.t_done += 1.0
+
+    with pytest.raises(SanitizeError, match="was planned for"):
+        _run_misplanned(monkeypatch, completion_recorded_late)
 
 
-def test_engine_rewind_between_runs_caught(sanitized):
-    env = Engine()
-    _rewind_between_runs(env)
-    with pytest.raises(SanitizeError, match="moved backwards"):
-        env.run()
-
-
-def test_engine_rewind_between_runs_silent_by_default(unsanitized):
-    env = Engine()
-    dispatched_at = _rewind_between_runs(env)
-    env.run()
-    assert dispatched_at == [5.0]  # the clock silently ran backwards
-
-
-def test_engine_pool_double_free_caught(sanitized):
-    env = Engine()
-    ev = env.timeout(1.0)
-    env._timeout_pool.append(ev)  # simulate a premature free
-    with pytest.raises(SanitizeError, match="double-free"):
-        env.run()
-
-
-def test_engine_pool_double_free_silent_by_default(unsanitized):
-    env = Engine()
-    ev = env.timeout(1.0)
-    env._timeout_pool.append(ev)
-    env.run()
-    assert env._timeout_pool.count(ev) == 2  # aliased, undetected
-
+# ---------------------------------------------------------------------
+# Engine: ordering is an entry check in ``at`` / ``_schedule``
+# (tests/test_sim_engine.py); sanitized runs stay clean
+# ---------------------------------------------------------------------
 
 def test_sanitized_engine_runs_clean_sim(sanitized):
     env = Engine()
@@ -293,11 +287,23 @@ def test_sanitized_run_is_byte_identical():
         sanitize.set_enabled(None)
 
 
+def _datapath():
+    costs = SimpleNamespace(
+        client_overhead=0.0, cache_hit_service=0.0,
+        write_ack_service=0.0, cache_copy_rate=1.0,
+    )
+    network = SimpleNamespace(config=SimpleNamespace(bandwidth=1.0))
+    pfs = SimpleNamespace(
+        env=None, costs=costs, machine=SimpleNamespace(network=network)
+    )
+    return datapath.DataPath(pfs)
+
+
 def test_datapath_selects_sanitized_classes(sanitized):
-    dp = datapath.DataPath.__new__(datapath.DataPath)
-    # Only exercise the class-selection tail of __init__.
-    if sanitize.enabled():
-        assert SanitizedPlanChain is not PlanChain
-    sanitize.set_enabled(True)
-    env = Engine()
-    assert env._sanitize is True
+    dp = _datapath()
+    assert dp._chain_cls is SanitizedPlanChain
+    assert dp._span_cls is SanitizedFastSpan
+    sanitize.set_enabled(False)
+    dp = _datapath()
+    assert dp._chain_cls is PlanChain
+    assert dp._span_cls is FastSpan

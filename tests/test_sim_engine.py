@@ -341,6 +341,47 @@ def test_process_requires_generator():
         eng.process(lambda: None)  # type: ignore[arg-type]
 
 
+def test_at_dispatches_at_exact_instant():
+    eng = Engine()
+    seen = []
+
+    def proc(eng):
+        yield eng.timeout(0.1)
+        value = yield eng.at(0.30000000000000004, value="v")
+        seen.append((eng.now, value))
+        yield eng.at(eng.now)  # the current instant is not the past
+        seen.append((eng.now, None))
+
+    eng.process(proc(eng))
+    eng.run()
+    assert seen == [(0.30000000000000004, "v"), (0.30000000000000004, None)]
+
+
+def test_at_in_the_past_raises_at_the_call():
+    eng = Engine()
+    eng.run(until=10.0)
+    with pytest.raises(SimulationError, match="cannot schedule at 5.0"):
+        eng.at(5.0)
+    with pytest.raises(SimulationError, match="in the past"):
+        eng._schedule(eng.event(), 1, delay=-1e-9)
+    assert eng.peek() == float("inf")  # nothing was queued
+
+    # Mid-run, the offending call raises in the process that made it.
+    caught = []
+
+    def proc(eng):
+        yield eng.timeout(1.0)
+        try:
+            eng.at(eng.now - 5.0)
+        except SimulationError:
+            caught.append(eng.now)
+
+    eng.process(proc(eng))
+    eng.run()
+    assert caught == [11.0]
+    assert eng.now == 11.0  # the clock never moved backwards
+
+
 def test_peek_returns_next_event_time():
     eng = Engine()
     eng.timeout(7.0)

@@ -1,8 +1,8 @@
 """Tests for repro.telemetry: the observability subsystem.
 
 The two headline guarantees are asserted here: enabling telemetry
-leaves SDDF traces byte-identical across both DES kernels and both
-data paths, and a disabled registry hands out shared null instruments.
+leaves SDDF traces byte-identical across both data paths, and a
+disabled registry hands out shared null instruments.
 Also covers the run-cache statistics sidecar and the perf regression
 gate behind ``repro bench --check``.
 """
@@ -192,9 +192,8 @@ def test_to_json_is_deterministic():
 # the headline guarantee: telemetry never changes simulation output
 
 
-def _escat_sddf(monkeypatch, fast_core, fast_datapath, with_telemetry):
+def _escat_sddf(monkeypatch, fast_datapath, with_telemetry):
     monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.setenv("REPRO_FAST_CORE", "1" if fast_core else "0")
     monkeypatch.setenv("REPRO_FAST_DATAPATH", "1" if fast_datapath else "0")
     telemetry.set_enabled(True if with_telemetry else None)
     try:
@@ -207,14 +206,13 @@ def _escat_sddf(monkeypatch, fast_core, fast_datapath, with_telemetry):
     return out.getvalue(), result
 
 
-@pytest.mark.parametrize("fast_core", [True, False])
 @pytest.mark.parametrize("fast_datapath", [True, False])
-def test_telemetry_is_byte_invisible(monkeypatch, fast_core, fast_datapath):
+def test_telemetry_is_byte_invisible(monkeypatch, fast_datapath):
     plain_sddf, plain = _escat_sddf(
-        monkeypatch, fast_core, fast_datapath, with_telemetry=False
+        monkeypatch, fast_datapath, with_telemetry=False
     )
     telem_sddf, telem = _escat_sddf(
-        monkeypatch, fast_core, fast_datapath, with_telemetry=True
+        monkeypatch, fast_datapath, with_telemetry=True
     )
     assert plain.telemetry is None
     assert telem.telemetry is not None
@@ -227,14 +225,12 @@ def test_telemetry_is_byte_invisible(monkeypatch, fast_core, fast_datapath):
 
 def test_snapshot_structure_and_consistency(monkeypatch, forced_telemetry):
     monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.setenv("REPRO_FAST_CORE", "1")
     monkeypatch.setenv("REPRO_FAST_DATAPATH", "1")
     problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
     result = run_escat("A", problem, seed=SEED)
     snap = result.telemetry
     assert snap["schema"] == telemetry.instruments.SCHEMA
     eng = snap["engine"]
-    assert eng["kernel"] == "fast"
     assert eng["events"] > 0
     # Every dispatched event happened at some distinct timestamp.
     assert 0 < eng["timestamps"] <= eng["events"]
@@ -276,6 +272,8 @@ def test_render_summary_mentions_the_load_bearing_lines(
     monkeypatch, forced_telemetry
 ):
     monkeypatch.setenv("REPRO_CACHE", "0")
+    # The datapath line summarizes spans: pin the batched datapath.
+    monkeypatch.setenv("REPRO_FAST_DATAPATH", "1")
     problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
     snap = run_escat("A", problem, seed=SEED).telemetry
     text = telemetry.render_summary(snap, top=2)
@@ -351,12 +349,12 @@ def test_cache_stats_disabled_cache_skips_sidecar(tmp_path, monkeypatch):
 # perf regression gate
 
 
-def _fake_report(kind="repro fast simulation core", quick=False, scale=1.0):
+def _fake_report(kind="repro batched PFS data path", quick=False, scale=1.0):
     return {
         "benchmark": kind,
         "quick": quick,
-        "engine": {"speedup": 4.0 * scale},
-        "engine_process_driven": {"speedup": 2.0 * scale},
+        "decomposition": {"speedup": 30.0 * scale},
+        "server": {"speedup": 1.5 * scale},
     }
 
 
@@ -423,17 +421,29 @@ def test_check_regressions_rejects_suite_mismatch_and_bad_baseline(
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_fake_report()))
     assert perfbench.load_report(str(good))["benchmark"] \
-        == "repro fast simulation core"
+        == "repro batched PFS data path"
 
 
 def test_missing_metric_is_reported_not_crashed():
     current = _fake_report()
-    del current["engine_process_driven"]
+    del current["server"]
     report = perfbench.check_regressions(current, _fake_report())
     rows = {r["metric"]: r for r in report["metrics"]}
-    assert rows["engine_process_driven.speedup"]["skipped"] \
-        == "missing in report"
+    assert rows["server.speedup"]["skipped"] == "missing in report"
     assert not report["regressed"]
+
+
+def test_core_suite_is_report_only():
+    # Absolute kernel rates and walls track the host, so the core
+    # suite carries no regression rows and no criteria.
+    core = {
+        "benchmark": "repro fast simulation core",
+        "quick": False,
+        "engine": {"events_per_s": 1_000_000},
+        "end_to_end": {"fresh_wall_s": 5.0},
+    }
+    assert perfbench.check_regressions(core, core)["compared"] == 0
+    assert perfbench.check_criteria(core)["checked"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +498,15 @@ def test_check_criteria_skips_scale_sensitive_on_quick():
 
 
 def test_check_criteria_ignores_flags_and_unmapped_keys():
-    core = {
-        "benchmark": "repro fast simulation core",
-        "quick": False,
-        "engine": {"speedup": 4.0},
-        "end_to_end": {"speedup_vs_pre_pr": 2.5},
-        "criteria": {
-            "engine_speedup_min": 3.0,
-            "end_to_end_speedup_min": 2.0,
-            "engine_ok": True,          # derived flag: not a target
-            "made_up_target_min": 9.9,  # no measurement mapping
-        },
-    }
-    report = perfbench.check_criteria(core)
+    dp = _dp_report(criteria={
+        "server_speedup_min": 1.2,
+        "end_to_end_speedup_min": 2.0,
+        "server_ok": True,          # derived flag: not a target
+        "made_up_target_min": 9.9,  # no measurement mapping
+    })
+    report = perfbench.check_criteria(dp)
     rows = {r["criterion"]: r for r in report["criteria"]}
-    assert "engine_ok" not in rows
+    assert "server_ok" not in rows
     assert rows["made_up_target_min"]["skipped"] == "no measurement mapping"
     assert report["checked"] == 2
     assert not report["unmet"]
