@@ -31,7 +31,7 @@ from repro.units import KB
 
 
 # ----------------------------------------------------------------------
-# vectorized request schedules (REPRO_FAST_APP staging)
+# vectorized request schedules (batched-submission staging)
 #
 # The applications' request streams are deterministic functions of the
 # problem parameters, so each phase's sizes can be precomputed as one
@@ -238,7 +238,7 @@ class EscatProblem:
     def matrix_bytes(self) -> int:
         return self.matrix_reads * self.matrix_chunk
 
-    # -- precomputed request schedules (REPRO_FAST_APP) ------------------
+    # -- precomputed request schedules (batched submission) -------------
     @property
     def problemdef_schedule(self) -> List[int]:
         """Phase-one problem-definition read sizes, in issue order."""
@@ -411,7 +411,7 @@ class PrismProblem:
     def field_bytes(self) -> int:
         return self.n_nodes * self.field_writes_per_node * self.field_write_size
 
-    # -- precomputed request schedules (REPRO_FAST_APP) ------------------
+    # -- precomputed request schedules (batched submission) -------------
     @property
     def checkpoint_schedule(self) -> List[int]:
         """Per-checkpoint .chk write sizes, in issue order."""

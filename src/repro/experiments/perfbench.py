@@ -579,8 +579,7 @@ def run_profile(quick: bool = False, top: int = 30) -> str:
         f"cProfile of fresh ESCAT-A ({scale} scale), seed 1996: "
         f"{len(result.trace):,} trace records in {wall:.2f}s wall\n"
         f"flags: REPRO_FAST_DATAPATH="
-        f"{os.environ.get('REPRO_FAST_DATAPATH', '1')} "
-        f"REPRO_FAST_APP={os.environ.get('REPRO_FAST_APP', '1')}\n\n"
+        f"{os.environ.get('REPRO_FAST_DATAPATH', '1')}\n\n"
     )
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)

@@ -6,18 +6,20 @@ else.  The determinism linter (:mod:`repro.analysis`) forbids
 ``pfs``, ``machine``, ``faults``, ``apps``, ``policies``,
 ``workloads``, ``pablo``): those layers call the accessors below *once
 at construction time* — ``PFS.__init__`` resolves :func:`fast_datapath`
-and :func:`fast_app` — and thread the resolved values through their
-own state for the rest of the run.  That is what keeps cached-run
-keys honest: nothing consulted after run setup can drift away from
-the environment the run was keyed under.
+— and thread the resolved value through their own state for the rest
+of the run.  That is what keeps cached-run keys honest: nothing
+consulted after run setup can drift away from the environment the run
+was keyed under.
 
 The flags fall into two classes:
 
 - **Equivalence-preserving** (``REPRO_FAST_DATAPATH``,
-  ``REPRO_FAST_APP``, ``REPRO_SANITIZE``, ``REPRO_TELEMETRY*``):
-  byte-identical simulations either way (asserted by the determinism
-  batteries), so they are deliberately *excluded* from run-cache keys
-  — a cached entry is valid under any setting.
+  ``REPRO_SANITIZE``, ``REPRO_TELEMETRY*``): byte-identical
+  simulations either way (asserted by the determinism batteries), so
+  they are deliberately *excluded* from run-cache keys — a cached
+  entry is valid under any setting.  ``REPRO_FAST_DATAPATH=0`` selects
+  the byte-identity oracle: per-request submission over event-stepped
+  per-piece processes.
 - **Operational** (``REPRO_CACHE``, ``REPRO_CACHE_DIR``,
   ``REPRO_CACHE_MAX_BYTES``): affect where/whether results are stored,
   never what they contain.
@@ -44,14 +46,9 @@ def _truthy(name: str, default: str = "1") -> bool:
 
 # -- equivalence-preserving fast paths ---------------------------------
 def fast_datapath() -> bool:
-    """Batched PFS data path with analytic spans
-    (``REPRO_FAST_DATAPATH``, default on)."""
+    """Batched PFS data path with analytic spans and app-layer batched
+    submission (``REPRO_FAST_DATAPATH``, default on)."""
     return _truthy("REPRO_FAST_DATAPATH")
-
-
-def fast_app() -> bool:
-    """App-layer batched submission (``REPRO_FAST_APP``, default on)."""
-    return _truthy("REPRO_FAST_APP")
 
 
 # -- runtime sanitizer -------------------------------------------------
@@ -111,7 +108,6 @@ def resolved() -> Dict[str, Union[bool, float, str, None]]:
     """One snapshot of every flag, for reports and run metadata."""
     return {
         "fast_datapath": fast_datapath(),
-        "fast_app": fast_app(),
         "sanitize": sanitize(),
         "telemetry": telemetry(),
         "telemetry_resolution": telemetry_resolution(),

@@ -68,11 +68,6 @@ _CLOSE_PRIORITY = 0
 _OPEN_PRIORITY = 1
 
 
-def _fast_app_default() -> bool:
-    """App-layer batched submission (REPRO_FAST_APP, default on)."""
-    return flags.fast_app()
-
-
 class PFS:
     """One Intel PFS instance over a simulated Paragon.
 
@@ -125,16 +120,14 @@ class PFS:
         #: ``None`` keeps every transfer on the exact healthy-run path.
         self.faults = None
         #: Batched data path (REPRO_FAST_DATAPATH, default on); None
-        #: means every transfer takes the legacy per-piece path.
-        from repro.pfs.datapath import DataPath, _fast_datapath_default
+        #: means the event-stepped oracle: every transfer takes the
+        #: per-piece path, and read_batch/write_batch degrade to exact
+        #: per-request loops.
+        from repro.pfs.datapath import DataPath
 
         self.datapath: Optional[DataPath] = (
-            DataPath(self) if _fast_datapath_default() else None
+            DataPath(self) if flags.fast_datapath() else None
         )
-        #: App-layer batch submission (REPRO_FAST_APP, default on):
-        #: read_batch/write_batch issue a whole request schedule in one
-        #: client call.  Off, they degrade to exact per-request loops.
-        self.fast_app = _fast_app_default()
         #: Batch-coverage counters (surfaced by telemetry).
         self.app_batches_submitted = 0
         self.app_batch_bytes = 0
@@ -567,7 +560,7 @@ class PFSNodeClient:
             )
 
     # ------------------------------------------------------------------
-    # batched submission (REPRO_FAST_APP)
+    # batched submission (REPRO_FAST_DATAPATH)
     # ------------------------------------------------------------------
     def read_batch(
         self, handle: FileHandle, sizes: Sequence[int]
@@ -581,7 +574,8 @@ class PFSNodeClient:
         a single column block.  The fast path requires a sole-opener,
         private-pointer, non-collective file (the exclusive window
         that makes the analytic walk exact); anything else degrades to
-        the per-request loop, as does ``REPRO_FAST_APP=0``.
+        the per-request loop, as does the event-stepped oracle
+        (``REPRO_FAST_DATAPATH=0``).
         """
         if not handle._open:
             handle.require_open()
@@ -590,7 +584,7 @@ class PFSNodeClient:
         sem = state.sem
         buffer = handle.buffer
         if (
-            not pfs.fast_app
+            pfs.datapath is None
             or buffer is None
             or not sem.private_pointer
             or sem.node_ordered
@@ -689,9 +683,10 @@ class PFSNodeClient:
         target servers mid-batch (the spans' strict revocation
         threshold raises loudly if that contract is broken, rather
         than silently diverging from the legacy path).  Any
-        ineligibility — legacy datapath, shared/collective/ordered
-        file, zero-size request, busy or faulted server —
-        falls back to per-request submission from that point on.
+        ineligibility — the event-stepped oracle
+        (``REPRO_FAST_DATAPATH=0``), a shared/collective/ordered file,
+        a zero-size request, a busy or faulted server — falls back to
+        per-request submission from that point on.
         """
         if not handle._open:
             handle.require_open()
@@ -701,8 +696,7 @@ class PFSNodeClient:
         mode = state.mode
         datapath = pfs.datapath
         if (
-            not pfs.fast_app
-            or datapath is None
+            datapath is None
             or not sem.private_pointer
             or sem.node_ordered
             or mode == AccessMode.M_GLOBAL
@@ -948,8 +942,7 @@ class PFSNodeClient:
             cached = handle.server_cached
         datapath = self.pfs.datapath
         if datapath is not None:
-            # Inlined DataPath.transfer (one generator frame fewer on
-            # every transfer): schedule the request arrival at the
+            # Batched datapath: schedule the request arrival at the
             # servers after the client-side overhead and wake on the
             # single completion event the launch plan resolves.
             env = self.env

@@ -36,11 +36,10 @@ shared-pointer piece, a policy probe, a fault application) first calls
 current instant — k-way merged across spans in global timestamp order,
 so LRU-sensitive cache state evolves exactly as the legacy path's —
 and reconstitutes every unfinished piece as real queue state in chain
-order.  An adaptive guard watches a sliding window of span outcomes
-per server and stops planning where revocation dominates, so
-pathological workloads degrade to plain event stepping instead of
-plan/revoke thrash.  ``REPRO_FAST_DATAPATH=0`` disables the whole
-path, keeping the legacy per-piece code as a determinism cross-check.
+order.  ``REPRO_FAST_DATAPATH=0`` disables the whole path — this
+module and the app-layer batched submission built on it — leaving the
+event-stepped oracle the determinism tests compare bytes against:
+per-request submission over per-piece processes.
 
 Two implementation choices carry the constant factor (0.68x ->
 ~1.5x on the contended 8-client server microbench, >= 2x end-to-end;
@@ -66,7 +65,7 @@ from collections import deque
 from operator import itemgetter
 from typing import TYPE_CHECKING, Generator, List
 
-from repro import flags, sanitize
+from repro import sanitize
 from repro.errors import PFSError
 from repro.machine.disk import RAID3Array
 from repro.pfs.server import PLAN_IDLE
@@ -77,19 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pfs.client import PFS, PFSNodeClient
     from repro.pfs.file import SharedFileState
     from repro.pfs.server import StripeServer
-
-#: Below this piece count, scalar decomposition beats array setup.
-_VECTOR_MIN_PIECES = 64
-
-#: Adaptive guard: outcomes (planned spans) remembered per server, and
-#: the number of revocations within that window that permanently
-#: disables planning on the server.  Disabling can never change
-#: observable behavior — spans are exact whether planned or not — it
-#: only stops paying plan/revoke overhead where prediction keeps
-#: failing.
-_SPAN_WINDOW = 64
-_SPAN_WINDOW_MASK = (1 << _SPAN_WINDOW) - 1
-_SPAN_DISABLE_REVOKED = 32
 
 #: Effect opcodes (dispatched inline in PlanChain.apply_until).
 _E_WCNT = 0      # write arrived at server: writes/bytes counters
@@ -116,10 +102,6 @@ _EFFECT_T = itemgetter(0)
 #: effect list (long-lived chains under steady contention would grow
 #: without bound otherwise).
 _EFFECT_PRUNE = 512
-
-
-def _fast_datapath_default() -> bool:
-    return flags.fast_datapath()
 
 
 class PlanChain:
@@ -330,8 +312,6 @@ class PlanChain:
             s.revoked = True
         for s in spans:
             s._reconstitute(tau)
-        for _ in spans:
-            dp._span_outcome(server, 1)
 
 
 class DataPath:
@@ -376,44 +356,6 @@ class DataPath:
             self._span_cls = FastSpan
 
     # ------------------------------------------------------------------
-    def transfer(
-        self,
-        client: "PFSNodeClient",
-        state: "SharedFileState",
-        offset: int,
-        nbytes: int,
-        kind: str,
-        cached: bool,
-    ) -> Generator:
-        """Drop-in replacement for the client's legacy ``_data_path``.
-
-        The client yields exactly one event.  The request "arrives" at
-        the stripe servers ``client_overhead`` later — at that instant a
-        scheduled *callback* (no generator resume) plans spans (stacking
-        onto loaded servers when the append-order guard allows), or
-        settles the targets and spawns fallback pieces.
-        """
-        env = self.env
-        if nbytes == 0:
-            yield env.timeout(self.client_overhead)
-            return
-        if kind == "write_behind" and not cached:
-            # The server degrades uncached write-behind to write-through.
-            kind = "write_through"
-        if not cached and state.sem.private_pointer:
-            early = self.launch_early(client, state, offset, nbytes, kind)
-            if early is not None:
-                yield early
-                return
-        done = Event(env)
-        arrival = env.at(env.now + self.client_overhead)
-        arrival.callbacks.append(
-            lambda _ev: self._launch(
-                client, state, offset, nbytes, kind, cached, done
-            )
-        )
-        yield done
-
     def _launch(
         self,
         client: "PFSNodeClient",
@@ -424,7 +366,13 @@ class DataPath:
         cached: bool,
         done: Event,
     ) -> None:
-        """Plan the transfer at its arrival instant (runs as a callback)."""
+        """Plan the transfer at its arrival instant (runs as a callback).
+
+        ``PFSNodeClient._data_path`` schedules it ``client_overhead``
+        after the request is issued.  Each target server either takes
+        a span (stacking onto its chain when the append-order guard
+        allows) or is settled and event-steps its pieces.
+        """
         if not state.sem.private_pointer:
             # Shared-pointer modes (M_SYNC, M_LOG, M_GLOBAL) trace the
             # *post-op* shared offset, so the order in which a client
@@ -438,31 +386,21 @@ class DataPath:
             return
         layout = state.layout
         ss = layout.stripe_size
-        n_io = layout.n_io_nodes
-        base = layout.disk_base
         first = offset // ss
-        end = offset + nbytes
-        last = (end - 1) // ss
-        k = last - first + 1
         env = self.env
+        servers = self.pfs.servers
 
-        if k == 1:
+        if (offset + nbytes - 1) // ss == first:
+            n_io = layout.n_io_nodes
             srv = first % n_io
-            doff = base + (first // n_io) * ss + (offset - first * ss)
-            server = self.pfs.servers[srv]
+            doff = layout.disk_base + (first // n_io) * ss + (offset - first * ss)
+            server = servers[srv]
             chain = self._eligible(server, client, kind, (nbytes,), env.now)
             if chain is not None:
-                stacked = bool(chain.spans)
                 self._span_cls(
                     self, client, server, state.file_id,
                     (doff,), (nbytes,), kind, cached, chain, done,
                 )
-                self.spans += 1
-                self.span_pieces += 1
-                self.span_bytes += nbytes
-                if stacked:
-                    self.spans_stacked += 1
-                    self.span_stacked_bytes += nbytes
             else:
                 server.settle()
                 self.fallback_pieces += 1
@@ -476,56 +414,16 @@ class DataPath:
                 )
             return
 
-        # -- decompose into parallel piece lists, file order ------------
-        if k < _VECTOR_MIN_PIECES:
-            ios = []
-            doffs = []
-            foffs = []
-            ns = []
-            for stripe in range(first, last + 1):
-                start = stripe * ss
-                foff = offset if offset > start else start
-                pend = end if end < start + ss else start + ss
-                ios.append(stripe % n_io)
-                doffs.append(base + (stripe // n_io) * ss + (foff - start))
-                foffs.append(foff)
-                ns.append(pend - foff)
-        else:
-            io_a, doff_a, foff_a, n_a = layout.pieces_arrays(offset, nbytes)
-            ios = io_a.tolist()
-            doffs = doff_a.tolist()
-            foffs = foff_a.tolist()
-            ns = n_a.tolist()
-
-        # -- group per server (round-robin => strided slices) ------------
-        if n_io == 1:
-            groups = [(ios[0], doffs, foffs, ns)]
-        else:
-            groups = []
-            for r in range(n_io if n_io < k else k):
-                srv = (first + r) % n_io
-                groups.append(
-                    (srv, doffs[r::n_io], foffs[r::n_io], ns[r::n_io])
-                )
-
-        servers = self.pfs.servers
         waits: List[object] = []
-        for srv, g_doffs, g_foffs, g_ns in groups:
+        for srv, g_doffs, g_foffs, g_ns in layout.stripe_groups(offset, nbytes):
             server = servers[srv]
             chain = self._eligible(server, client, kind, g_ns, env.now)
             if chain is not None:
-                stacked = bool(chain.spans)
                 span = self._span_cls(
                     self, client, server, state.file_id,
                     g_doffs, g_ns, kind, cached, chain,
                 )
                 waits.append(span.client_event)
-                self.spans += 1
-                self.span_pieces += len(g_ns)
-                self.span_bytes += sum(g_ns)
-                if stacked:
-                    self.spans_stacked += 1
-                    self.span_stacked_bytes += sum(g_ns)
             else:
                 server.settle()
                 self.fallback_pieces += len(g_ns)
@@ -623,89 +521,34 @@ class DataPath:
         counters, client send traffic) become effects at ``t0`` so
         settlement before the arrival replays them exactly.  Returns
         the completion event to wait on, or ``None`` when any target
-        declines — all-or-nothing, because a partial early plan would
-        split one legacy arrival instant across two launches.  The
+        declines (all-or-nothing, see :meth:`_plan_all_at`).  The
         caller then falls back to the arrival-callback launch, which
         can still plan per-server or event-step.
         """
-        env = self.env
-        t0 = env.now + self.client_overhead
+        t0 = self.env.now + self.client_overhead
         layout = state.layout
         ss = layout.stripe_size
-        n_io = layout.n_io_nodes
-        base = layout.disk_base
         first = offset // ss
-        end = offset + nbytes
-        last = (end - 1) // ss
-        k = last - first + 1
 
-        if k == 1:
-            srv = first % n_io
-            server = self.pfs.servers[srv]
+        if (offset + nbytes - 1) // ss == first:
+            n_io = layout.n_io_nodes
+            server = self.pfs.servers[first % n_io]
             chain = self._eligible(server, client, kind, (nbytes,), t0)
             if chain is None:
                 return None
-            doff = base + (first // n_io) * ss + (offset - first * ss)
-            stacked = bool(chain.spans)
-            ev = self._plan_single_early(
+            doff = layout.disk_base + (first // n_io) * ss + (offset - first * ss)
+            return self._plan_single_early(
                 client, server, doff, nbytes, kind, chain, t0
             )
-            self.spans += 1
-            self.span_pieces += 1
-            self.span_bytes += nbytes
-            if stacked:
-                self.spans_stacked += 1
-                self.span_stacked_bytes += nbytes
-            return ev
 
-        if k < _VECTOR_MIN_PIECES:
-            ios = []
-            doffs = []
-            ns = []
-            for stripe in range(first, last + 1):
-                start = stripe * ss
-                foff = offset if offset > start else start
-                pend = end if end < start + ss else start + ss
-                ios.append(stripe % n_io)
-                doffs.append(base + (stripe // n_io) * ss + (foff - start))
-                ns.append(pend - foff)
-        else:
-            io_a, doff_a, _foff_a, n_a = layout.pieces_arrays(offset, nbytes)
-            ios = io_a.tolist()
-            doffs = doff_a.tolist()
-            ns = n_a.tolist()
-
-        if n_io == 1:
-            groups = [(ios[0], doffs, ns)]
-        else:
-            groups = []
-            for r in range(n_io if n_io < k else k):
-                srv = (first + r) % n_io
-                groups.append((srv, doffs[r::n_io], ns[r::n_io]))
-
-        servers = self.pfs.servers
-        chains = []
-        for srv, _g_doffs, g_ns in groups:
-            chain = self._eligible(servers[srv], client, kind, g_ns, t0)
-            if chain is None:
-                return None
-            chains.append(chain)
-        waits: List[object] = []
-        for (srv, g_doffs, g_ns), chain in zip(groups, chains):
-            stacked = bool(chain.spans)
-            span = self._span_cls(
-                self, client, servers[srv], state.file_id,
-                g_doffs, g_ns, kind, False, chain, None, t0,
-            )
-            waits.append(span.client_event)
-            self.spans += 1
-            self.span_pieces += len(g_ns)
-            self.span_bytes += sum(g_ns)
-            if stacked:
-                self.spans_stacked += 1
-                self.span_stacked_bytes += sum(g_ns)
-        done = Event(env)
-        self._chain(waits, done)
+        spans = self._plan_all_at(
+            client, state, layout.stripe_groups(offset, nbytes), kind,
+            False, t0,
+        )
+        if spans is None:
+            return None
+        done = Event(self.env)
+        self._chain([span.client_event for span in spans], done)
         return done
 
     def _plan_single_early(
@@ -785,8 +628,14 @@ class DataPath:
             chain.dirty = True
         if t0 < chain.next_due:
             chain.next_due = t0
+        self.spans += 1
+        self.span_pieces += 1
+        self.span_bytes += n
         spans = chain.spans
-        if not spans:
+        if spans:
+            self.spans_stacked += 1
+            self.span_stacked_bytes += n
+        else:
             server.plan = chain
         spans.append(span)
         server.spans_planned += 1
@@ -826,78 +675,29 @@ class DataPath:
         """
         layout = state.layout
         ss = layout.stripe_size
-        n_io = layout.n_io_nodes
-        base = layout.disk_base
         first = offset // ss
-        end = offset + nbytes
-        last = (end - 1) // ss
-        k = last - first + 1
-        servers = self.pfs.servers
 
-        if k == 1:
-            srv = first % n_io
-            server = servers[srv]
+        if (offset + nbytes - 1) // ss == first:
+            n_io = layout.n_io_nodes
+            server = self.pfs.servers[first % n_io]
             chain = self._eligible(server, client, kind, (nbytes,), t0)
             if chain is None:
                 return None
-            doff = base + (first // n_io) * ss + (offset - first * ss)
-            stacked = bool(chain.spans)
-            span = self._span_cls(
+            doff = layout.disk_base + (first // n_io) * ss + (offset - first * ss)
+            spans = (self._span_cls(
                 self, client, server, state.file_id,
                 (doff,), (nbytes,), kind, cached, chain, None, t0,
+            ),)
+        else:
+            spans = self._plan_all_at(
+                client, state, layout.stripe_groups(offset, nbytes), kind,
+                cached, t0,
             )
-            if kind == "write_through":
-                span.strict = chain.ch_arrival
-                t_client = chain.ch_free
-            else:
-                span.strict = chain.cpu_arrival
-                t_client = chain.cpu_free
-            self.spans += 1
-            self.span_pieces += 1
-            self.span_bytes += nbytes
-            if stacked:
-                self.spans_stacked += 1
-                self.span_stacked_bytes += nbytes
-            return t_client
-
-        if k < _VECTOR_MIN_PIECES:
-            ios = []
-            doffs = []
-            ns = []
-            for stripe in range(first, last + 1):
-                start = stripe * ss
-                foff = offset if offset > start else start
-                pend = end if end < start + ss else start + ss
-                ios.append(stripe % n_io)
-                doffs.append(base + (stripe // n_io) * ss + (foff - start))
-                ns.append(pend - foff)
-        else:
-            io_a, doff_a, _foff_a, n_a = layout.pieces_arrays(offset, nbytes)
-            ios = io_a.tolist()
-            doffs = doff_a.tolist()
-            ns = n_a.tolist()
-
-        if n_io == 1:
-            groups = [(ios[0], doffs, ns)]
-        else:
-            groups = []
-            for r in range(n_io if n_io < k else k):
-                srv = (first + r) % n_io
-                groups.append((srv, doffs[r::n_io], ns[r::n_io]))
-
-        chains = []
-        for srv, _g_doffs, g_ns in groups:
-            chain = self._eligible(servers[srv], client, kind, g_ns, t0)
-            if chain is None:
+            if spans is None:
                 return None
-            chains.append(chain)
         t_client = t0
-        for (srv, g_doffs, g_ns), chain in zip(groups, chains):
-            stacked = bool(chain.spans)
-            span = self._span_cls(
-                self, client, servers[srv], state.file_id,
-                g_doffs, g_ns, kind, cached, chain, None, t0,
-            )
+        for span in spans:
+            chain = span.chain
             if kind == "write_through":
                 span.strict = chain.ch_arrival
                 done = chain.ch_free
@@ -906,13 +706,40 @@ class DataPath:
                 done = chain.cpu_free
             if done > t_client:
                 t_client = done
-            self.spans += 1
-            self.span_pieces += len(g_ns)
-            self.span_bytes += sum(g_ns)
-            if stacked:
-                self.spans_stacked += 1
-                self.span_stacked_bytes += sum(g_ns)
         return t_client
+
+    def _plan_all_at(
+        self,
+        client: "PFSNodeClient",
+        state: "SharedFileState",
+        groups,
+        kind: str,
+        cached: bool,
+        t0: float,
+    ):
+        """Plan one span per stripe group at the arrival instant ``t0``.
+
+        All-or-nothing: every target server is checked before any is
+        planned, and ``None`` (nothing planned) is returned when one
+        declines — a partial plan would split one legacy arrival
+        instant across two launches.  Otherwise returns the spans in
+        group order.
+        """
+        servers = self.pfs.servers
+        chains = []
+        for srv, _doffs, _foffs, ns in groups:
+            chain = self._eligible(servers[srv], client, kind, ns, t0)
+            if chain is None:
+                return None
+            chains.append(chain)
+        span_cls = self._span_cls
+        return [
+            span_cls(
+                self, client, servers[srv], state.file_id,
+                doffs, ns, kind, cached, chain, None, t0,
+            )
+            for (srv, doffs, _foffs, ns), chain in zip(groups, chains)
+        ]
 
     def _eligible(
         self, server: "StripeServer", client: "PFSNodeClient",
@@ -933,8 +760,6 @@ class DataPath:
         entirely in the past is never planned (quiet-time gating), so
         faulted traffic is event-stepped under both datapath modes.
         """
-        if server.span_disabled:
-            return None
         faults = self.faults
         if faults is not None and not faults.span_ok(server.ionode.index):
             return None
@@ -985,24 +810,6 @@ class DataPath:
                     > server._wb_slots.capacity):
                 return False
         return True
-
-    def _span_outcome(self, server: "StripeServer", revoked: int) -> None:
-        """Feed one span outcome into the server's adaptive guard."""
-        window = ((server._span_window << 1) | revoked) & _SPAN_WINDOW_MASK
-        server._span_window = window
-        seen = server._span_seen
-        if seen < _SPAN_WINDOW:
-            server._span_seen = seen + 1
-            if seen + 1 < _SPAN_WINDOW:
-                return
-        elif not revoked:
-            # A zero outcome can only shift ones *out* of the window:
-            # if the count was below the threshold last time, it still
-            # is, so the popcount is only worth taking on revocations
-            # (and once, when the window first fills).
-            return
-        if bin(window).count("1") >= _SPAN_DISABLE_REVOKED:
-            server.span_disabled = True
 
 
 class FastSpan:
@@ -1081,9 +888,9 @@ class FastSpan:
         mark = len(effects)
         eff = effects.append
         k = len(ns)
+        total = ns[0] if k == 1 else sum(ns)
 
         if kind == "read":
-            total = ns[0] if k == 1 else sum(ns)
             if early:
                 eff((t0, _E_RCNT, k, total))
             else:
@@ -1139,7 +946,6 @@ class FastSpan:
                 chain.cpu_free = cpu_t
                 chain.cpu_arrival = t0
         elif kind == "write_through":
-            total = ns[0] if k == 1 else sum(ns)
             if early:
                 eff((t0, _E_SEND, k, total))
             else:
@@ -1181,9 +987,9 @@ class FastSpan:
             chain.next_off = next_off
         else:  # write_behind (cached — uncached was normalized away)
             if early:
-                eff((t0, _E_SEND, k, ns[0] if k == 1 else sum(ns)))
+                eff((t0, _E_SEND, k, total))
             else:
-                net.count_sends(k, ns[0] if k == 1 else sum(ns))
+                net.count_sends(k, total)
             self.items = items = []
             out_base = net.base_cost(cp, ip)
             was = dp.was
@@ -1256,6 +1062,12 @@ class FastSpan:
             chain.dirty = True
         if first_t < chain.next_due:
             chain.next_due = first_t
+        dp.spans += 1
+        dp.span_pieces += k
+        dp.span_bytes += total
+        if chain.spans:
+            dp.spans_stacked += 1
+            dp.span_stacked_bytes += total
         chain.add(self)
         server.spans_planned += 1
         if kind == "write_behind":
@@ -1282,7 +1094,6 @@ class FastSpan:
             return
         self.chain.apply_until(self.env.now)
         self.chain.discard(self)
-        self.dp._span_outcome(self.server, 0)
 
     def _client_trigger(self, _ev) -> None:
         if self.revoked:
@@ -1297,7 +1108,6 @@ class FastSpan:
             return
         self.chain.apply_until(self.env.now)
         self.chain.discard(self)
-        self.dp._span_outcome(self.server, 0)
         ev = self.client_event
         if not ev.triggered:
             ev.succeed()

@@ -68,13 +68,6 @@ class StripeServer:
         #: analytically.  Any event-stepped entry below settles it
         #: first, so the chain is never observable from the outside.
         self.plan = None
-        #: Adaptive span guard state (see DataPath._span_outcome): a
-        #: sliding bitmask of recent span outcomes (1 = revoked); once
-        #: the window fills with mostly revocations, planning is
-        #: disabled on this server for the rest of the run.
-        self.span_disabled = False
-        self._span_window = 0
-        self._span_seen = 0
         #: Span accounting for telemetry: spans planned on this server
         #: and spans folded back into real queue state by revocation.
         self.spans_planned = 0

@@ -10,7 +10,7 @@ large, stripe-aligned requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -102,14 +102,6 @@ class StripeLayout:
             remaining -= take
         return out
 
-    def piece_count(self, offset: int, nbytes: int) -> int:
-        """How many pieces :meth:`pieces` would produce, without building them."""
-        if nbytes <= 0:
-            return 0
-        first = offset // self.stripe_size
-        last = (offset + nbytes - 1) // self.stripe_size
-        return last - first + 1
-
     def pieces_arrays(
         self, offset: int, nbytes: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -147,53 +139,58 @@ class StripeLayout:
         )
         return io_nodes, disk_off, file_off, sizes
 
-    def pieces_batch(
-        self, requests: Sequence[Tuple[int, int]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Decompose a batch of ``(offset, nbytes)`` requests in one pass.
+    def stripe_groups(
+        self, offset: int, nbytes: int
+    ) -> List[Tuple[int, List[int], List[int], List[int]]]:
+        """:meth:`pieces` regrouped per I/O node, as parallel lists.
 
-        Returns ``(request_index, io_node, disk_offset, file_offset,
-        nbytes)`` int64 arrays covering every piece of every request, in
-        request order then file order — the concatenation of
-        :meth:`pieces_arrays` over the batch, tagged with the index of
-        the originating request.
+        Returns one ``(io_node, disk_offsets, file_offsets, sizes)``
+        group per I/O node the request touches, in the order the
+        request first touches them; each group lists that node's
+        pieces in file order.  Round-robin striping makes every group
+        a strided slice of the file-order pieces, so no search is
+        needed.  Large requests decompose through
+        :meth:`pieces_arrays`.
+
+        >>> layout = StripeLayout(stripe_size=64, n_io_nodes=2)
+        >>> layout.stripe_groups(32, 160)
+        [(0, [32, 64], [32, 128], [32, 64]), (1, [0], [64], [64])]
         """
-        counts = [self.piece_count(off, n) for off, n in requests]
-        total = sum(counts)
-        empty = np.empty(0, dtype=np.int64)
-        if total == 0:
-            return empty, empty, empty, empty, empty
-        req_idx = np.repeat(
-            np.arange(len(requests), dtype=np.int64),
-            np.asarray(counts, dtype=np.int64),
-        )
+        if nbytes < 0:
+            raise PFSError(f"negative request size {nbytes}")
+        if offset < 0:
+            raise PFSError(f"negative offset {offset}")
+        if nbytes == 0:
+            return []
         ss = self.stripe_size
-        firsts = np.asarray(
-            [off // ss for off, _ in requests], dtype=np.int64
-        )
-        offs = np.asarray([off for off, _ in requests], dtype=np.int64)
-        tot = np.asarray([off + n for off, n in requests], dtype=np.int64)
-        # Piece j of request i covers stripe firsts[i] + j.
-        within = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(
-                np.cumsum(np.asarray(counts, dtype=np.int64))
-                - np.asarray(counts, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-            )
-        )
-        stripes = firsts[req_idx] + within
-        starts = stripes * ss
-        file_off = np.maximum(starts, offs[req_idx])
-        ends = np.minimum(starts + ss, tot[req_idx])
-        sizes = ends - file_off
-        io_nodes = stripes % self.n_io_nodes
-        disk_off = (
-            self.disk_base
-            + (stripes // self.n_io_nodes) * ss
-            + (file_off - starts)
-        )
-        return req_idx, io_nodes, disk_off, file_off, sizes
+        n_io = self.n_io_nodes
+        base = self.disk_base
+        first = offset // ss
+        end = offset + nbytes
+        last = (end - 1) // ss
+        k = last - first + 1
+        if k < _VECTOR_MIN_PIECES:
+            doffs = []
+            foffs = []
+            ns = []
+            for stripe in range(first, last + 1):
+                start = stripe * ss
+                foff = offset if offset > start else start
+                pend = end if end < start + ss else start + ss
+                doffs.append(base + (stripe // n_io) * ss + (foff - start))
+                foffs.append(foff)
+                ns.append(pend - foff)
+        else:
+            _io, doff_a, foff_a, n_a = self.pieces_arrays(offset, nbytes)
+            doffs = doff_a.tolist()
+            foffs = foff_a.tolist()
+            ns = n_a.tolist()
+        if n_io == 1:
+            return [(0, doffs, foffs, ns)]
+        return [
+            ((first + r) % n_io, doffs[r::n_io], foffs[r::n_io], ns[r::n_io])
+            for r in range(n_io if n_io < k else k)
+        ]
 
     def is_stripe_aligned(self, offset: int, nbytes: int) -> bool:
         """True when the request starts on a stripe boundary and is a

@@ -17,7 +17,7 @@ instead of rewinding the clock mid-run.
 from __future__ import annotations
 
 from heapq import heapify, heappush, heappop
-from typing import TYPE_CHECKING, Generator, Iterable, List, Optional, Tuple
+from typing import Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import EmptySchedule, SimulationError, StopSimulation
 from repro.sim.events import (
@@ -28,9 +28,6 @@ from repro.sim.events import (
     NORMAL,
 )
 from repro.sim.process import Process
-
-if TYPE_CHECKING:
-    from repro.telemetry.instruments import RunTelemetry
 
 #: Queue entry: (time, priority, sequence, event).  ``sequence`` breaks
 #: ties deterministically in insertion order.
@@ -67,9 +64,10 @@ class Engine:
         self._queue: List[_QueueItem] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: Telemetry probe (repro.telemetry).  When attached, ``run()``
-        #: selects an instrumented copy of the dispatch loop; the
-        #: default loop carries no telemetry branches at all.
+        #: Telemetry probe (repro.telemetry).  When attached, the run
+        #: loop counts events and timestamps into it and calls its
+        #: ``on_advance`` hook; without one, the loop's single
+        #: ``probe is not None`` test per event is all telemetry costs.
         self._probe = None
 
     # -- clock -----------------------------------------------------------
@@ -139,8 +137,8 @@ class Engine:
 
         The probe receives ``on_advance(now)`` once per distinct
         timestamp and per-event counter bumps, and must only *read*
-        simulator state: the instrumented loop dispatches the exact
-        same events in the exact same order as the default one.
+        simulator state: the run loop dispatches the exact same events
+        in the exact same order with or without it.
         """
         self._probe = probe
 
@@ -200,11 +198,7 @@ class Engine:
                 heappush(self._queue, (at, NORMAL + 1, self._eid, stopper))
 
         try:
-            probe = self._probe
-            if probe is None:
-                self._run_loop()
-            else:
-                self._run_instrumented(probe)
+            self._run_loop()
         except StopSimulation as stop:
             return stop.value
         finally:
@@ -230,40 +224,25 @@ class Engine:
         """Dispatch events in heap order until the queue drains.
 
         :meth:`step` inlined: the loop runs once per event, hundreds
-        of thousands of times per paper-scale run.
+        of thousands of times per paper-scale run.  With a telemetry
+        probe attached it also counts events and distinct timestamps,
+        and calls ``on_advance(t)`` after the last event at ``t``:
+        when the next event popped is due later, or the queue drains.
+        The probe only reads state, so dispatch order and timing are
+        identical with or without it.
         """
         queue = self._queue
-        while queue:
-            when, _prio, _eid, event = heappop(queue)
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
-            if callbacks is None:
-                raise SimulationError(f"{event!r} processed twice")
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                _crash(event)
-
-    def _run_instrumented(self, probe: "RunTelemetry") -> None:
-        """:meth:`_run_loop` with telemetry counting and sim-time hooks.
-
-        A copy of the plain loop plus probe bookkeeping, selected once
-        per ``run()`` so the plain loop pays nothing.  ``on_advance(t)``
-        fires after the last event at ``t``: when the head of the queue
-        moves to a later time, or the queue drains.  The probe only
-        reads state, so dispatch order and timing are identical.
-        """
-        queue = self._queue
+        probe = self._probe
         last = _NAN
         while queue:
-            when, _prio, _eid, event = queue[0]
-            if when != last:
-                if last == last:  # not the NAN sentinel
-                    probe.on_advance(last)
-                probe.timestamps += 1
-                last = when
-            heappop(queue)
-            probe.events += 1
+            when, _prio, _eid, event = heappop(queue)
+            if probe is not None:
+                if when != last:
+                    if last == last:  # not the NAN sentinel
+                        probe.on_advance(last)
+                    probe.timestamps += 1
+                    last = when
+                probe.events += 1
             self._now = when
             callbacks, event.callbacks = event.callbacks, None
             if callbacks is None:
@@ -272,7 +251,7 @@ class Engine:
                 callback(event)
             if not event._ok and not event._defused:
                 _crash(event)
-        if last == last:
+        if probe is not None and last == last:
             probe.on_advance(last)
 
     @staticmethod

@@ -14,8 +14,8 @@ Two guarantees (asserted by ``tests/test_telemetry.py``):
   traces and table rows are identical with telemetry on or off.
 - **Near-zero cost when disabled.**  The enabled flag is consulted
   once per run (``run_application``) and once per instrument creation,
-  never per event: disabled runs use the uninstrumented dispatch loop
-  and shared null instruments.
+  never per event: in a disabled run the dispatch loop's probe branch
+  is never taken, and instruments are shared null objects.
 
 Enable with ``REPRO_TELEMETRY=1`` (or :func:`set_enabled`); tune the
 sampler grid with ``REPRO_TELEMETRY_RESOLUTION`` (simulated seconds,

@@ -92,13 +92,6 @@ def _cache_hit_rate(snap: dict) -> Optional[float]:
     return 100.0 * hits / total
 
 
-def _span_disabled_servers(snap: dict) -> Optional[float]:
-    servers = snap.get("servers")
-    if not servers:
-        return None
-    return sum(1 for s in servers if s.get("span_disabled"))
-
-
 def _fault(field: str) -> _Extractor:
     def get(snap: dict) -> Optional[float]:
         faults = snap.get("faults")
@@ -128,7 +121,6 @@ _LAYERS: Tuple[Tuple[str, Tuple[Tuple[str, _Extractor, bool], ...]], ...] = (
         ("span_stacked_bytes", _datapath("span_stacked_bytes"), False),
         ("fallback_pieces", _datapath("fallback_pieces"), False),
         ("revocations", _datapath("revocations"), False),
-        ("span_disabled_servers", _span_disabled_servers, False),
     )),
     ("app", (
         ("batches_submitted", _app("batches_submitted"), False),

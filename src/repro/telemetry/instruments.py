@@ -187,12 +187,6 @@ class RunTelemetry:
                 help="Spans folded back into real queue state",
                 server=label,
             )
-            reg.gauge_fn(
-                "pfs_server_span_disabled",
-                lambda s=s: 1.0 if s.span_disabled else 0.0,
-                help="Adaptive guard stopped span planning here",
-                server=label,
-            )
             # Sim-time series: the contention signals the paper cares
             # about, sampled on the shared grid.
             self.sampler.add_source(
@@ -240,9 +234,9 @@ class RunTelemetry:
                 help="Bytes moved by stacked (contended) spans",
             )
 
-        # App-layer fast path (REPRO_FAST_APP): batched submissions and
-        # the bulk trace rows they produce.  The counters exist on every
-        # run (zero when the fast path is off), so no gating.
+        # App-layer batched submissions (the REPRO_FAST_DATAPATH side)
+        # and the bulk trace rows they produce.  The counters exist on
+        # every run (zero under the event-stepped oracle), so no gating.
         pfs = self.pfs
         reg.gauge_fn(
             "app_batches_submitted_total",
@@ -313,7 +307,6 @@ class RunTelemetry:
                 "wb_lost_bytes": s.wb_lost_bytes,
                 "spans_planned": s.spans_planned,
                 "span_revocations": s.span_revocations,
-                "span_disabled": s.span_disabled,
                 "requests_completed": ion.completed,
                 "queue_delay_s": ion.total_queue_delay,
                 "service_s": ion.total_service,
@@ -445,15 +438,6 @@ def render_summary(snapshot: dict, top: int = 5) -> str:
             f"{dp['fallback_pieces']} pieces event-stepped, "
             f"{dp['revocations']} revocations"
         )
-        disabled = [
-            str(s["io_node"]) for s in snapshot["servers"]
-            if s.get("span_disabled")
-        ]
-        if disabled:
-            lines.append(
-                "datapath: adaptive guard disabled span planning on "
-                f"server(s) {', '.join(disabled)}"
-            )
     app = snapshot.get("app")
     if app is not None and app.get("batches_submitted"):
         lines.append(

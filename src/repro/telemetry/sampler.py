@@ -3,11 +3,10 @@
 The sampler is driven by the engine itself, not by injected events: a
 probe attached to the :class:`~repro.sim.engine.Engine` gets an
 ``on_advance(now)`` call each time the clock reaches a new distinct
-timestamp.  The engine selects an *instrumented* run loop once per
-``run()`` call when a probe is attached — the default loop carries no
-telemetry branches at all — and the probe only reads state, so the
-event schedule (and hence SDDF output) is byte-identical with
-telemetry on or off.  Injecting sampling events instead would both
+timestamp.  The engine's run loop carries one ``probe is not None``
+branch per event, and the probe only reads state, so the event
+schedule (and hence SDDF output) is byte-identical with telemetry on
+or off.  Injecting sampling events instead would both
 perturb event ordering and keep a run-to-exhaustion simulation alive
 forever; the hook sidesteps both problems.
 """
@@ -71,13 +70,13 @@ class SimTimeSampler:
 
 
 class EngineProbe:
-    """Counters fed by the engine's instrumented run loop.
+    """Counters fed by the engine's run loop.
 
     ``events`` counts dispatched events, ``timestamps`` counts distinct
     clock values — their ratio is the mean number of events dispatched
     per simulated instant.  ``on_advance`` forwards to the
-    sampler.  The probe holds plain ints; the instrumented loop updates
-    them with attribute adds, no method-call overhead per event.
+    sampler.  The probe holds plain ints; the run loop updates them
+    with attribute adds, no method-call overhead per event.
     """
 
     __slots__ = ("events", "timestamps", "sampler")

@@ -27,12 +27,12 @@ SNAP_A = {
     "servers": [
         {"requests_completed": 100, "queue_delay_s": 1.0,
          "service_s": 10.0, "wb_drained": 5, "cache_hits": 30,
-         "cache_misses": 10, "cache_evictions": 2, "span_disabled": 0,
+         "cache_misses": 10, "cache_evictions": 2,
          "disk": {"busy_s": 9.0, "position_s": 6.0, "transfer_s": 3.0,
                   "requests": 90}},
         {"requests_completed": 50, "queue_delay_s": 0.5,
          "service_s": 5.0, "wb_drained": 0, "cache_hits": 10,
-         "cache_misses": 10, "cache_evictions": 0, "span_disabled": 1,
+         "cache_misses": 10, "cache_evictions": 0,
          "disk": {"busy_s": 4.0, "position_s": 2.5, "transfer_s": 1.5,
                   "requests": 40}},
     ],
@@ -48,7 +48,7 @@ SNAP_B = {
     "servers": [
         {"requests_completed": 80, "queue_delay_s": 0.25,
          "service_s": 6.0, "wb_drained": 2, "cache_hits": 40,
-         "cache_misses": 0, "cache_evictions": 0, "span_disabled": 0,
+         "cache_misses": 0, "cache_evictions": 0,
          "disk": {"busy_s": 5.0, "position_s": 3.0, "transfer_s": 2.0,
                   "requests": 70}},
     ],

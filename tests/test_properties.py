@@ -115,6 +115,15 @@ def test_stripe_pieces_partition_request(stripe, n_io, offset, nbytes):
         assert p.io_node == layout.io_node_of(p.file_offset)
         assert p.disk_offset == layout.disk_offset_of(p.file_offset)
         pos += p.nbytes
+    # The datapath's per-server decomposition is the same pieces,
+    # regrouped by I/O node in first-touch order.
+    groups = {}
+    for p in pieces:
+        group = groups.setdefault(p.io_node, (p.io_node, [], [], []))
+        group[1].append(p.disk_offset)
+        group[2].append(p.file_offset)
+        group[3].append(p.nbytes)
+    assert layout.stripe_groups(offset, nbytes) == list(groups.values())
 
 
 @given(

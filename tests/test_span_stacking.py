@@ -162,21 +162,3 @@ def test_single_piece_contention_exercises_early_planning(monkeypatch):
     legacy = _run_contended(False, monkeypatch, sizes=sizes)
     _assert_equivalent(fast, legacy)
     assert fast[2].datapath.spans_stacked > 0
-
-
-def test_adaptive_guard_disables_after_revocation_storm(monkeypatch):
-    from repro.pfs import datapath as dpmod
-
-    _, _, pfs = _run_contended(True, monkeypatch, sizes=(4 * KB,))
-    dp = pfs.datapath
-    server = pfs.servers[0]
-    assert not server.span_disabled
-    # A run of successes keeps planning enabled...
-    for _ in range(dpmod._SPAN_WINDOW):
-        dp._span_outcome(server, 0)
-    assert not server.span_disabled
-    # ...but once revocations dominate the sliding window, the guard
-    # turns the server's planning off for the rest of the run.
-    for _ in range(dpmod._SPAN_DISABLE_REVOKED):
-        dp._span_outcome(server, 1)
-    assert server.span_disabled

@@ -17,6 +17,7 @@ from repro.apps import run_escat, scaled_escat_problem
 from repro.core.breakdown import io_time_breakdown
 from repro.experiments import cache, perfbench
 from repro.pablo.sddf import write_sddf
+from repro.sim import Engine
 from repro.telemetry import (
     Counter,
     EngineProbe,
@@ -165,6 +166,19 @@ def test_engine_probe_forwards_to_sampler():
     probe = EngineProbe(s)
     probe.on_advance(0.0)
     assert s.times == [0.0]
+    # Driven by the run loop: on_advance(t) fires after the last event
+    # at t and before the next event is counted.
+    s = SimTimeSampler(resolution=1.0)
+    probe = EngineProbe(s)
+    s.add_source("events", lambda: probe.events)
+    env = Engine()
+    env.attach_probe(probe)
+    for t in (1.0, 1.0, 2.0, 3.5):
+        env.at(t)
+    env.run()
+    assert s.times == [1.0, 2.0, 3.5]
+    assert s.series()["events"] == [2.0, 3.0, 4.0]
+    assert (probe.events, probe.timestamps) == (4, 3)
 
 
 # ---------------------------------------------------------------------------
