@@ -16,11 +16,12 @@ Subcommands
     Run an application version and dump its Pablo trace as SDDF.
 ``repro counters <app> <version> [--top N] [--fast]``
     Darshan-style per-file counter report for an application run.
-``repro bench [--quick] [--output PATH] [--check]``
-    Run the simulation-core performance suite (emits BENCH_core.json).
-    ``--check`` compares the fresh run against the committed
-    ``BENCH_*.json`` baselines and exits non-zero on a >15%
-    regression in any in-run speedup ratio.
+``repro bench [--quick] [--check] [--serve-output PATH] [--serve-only]``
+    Run the batched-datapath suite (emits BENCH_datapath.json) and,
+    opt-in, the serve traffic suite.  ``--check`` compares the fresh
+    run against the committed ``BENCH_*.json`` baselines and exits
+    non-zero on a >15% regression in any in-run speedup ratio or an
+    unmet committed criterion.
 ``repro metrics <app> <version> [--fast] [--top N] [--json PATH]``
     Run one application fresh with telemetry enabled and print the
     run's observability summary (busiest servers/disks, cache
@@ -117,22 +118,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.experiments import perfbench
 
-    if args.profile:
-        table = perfbench.run_profile(quick=args.quick)
-        with open(args.profile_output, "w") as stream:
-            stream.write(table)
-        # First lines only: the full table is the artifact.
-        print("\n".join(table.splitlines()[:12]))
-        print(f"wrote {args.profile_output}")
-        return 0
     if args.serve_only and not args.serve_output:
         raise ReproError(
             "--serve-only needs a --serve-output path"
         )
-    run_core = not args.serve_only
-    for output in (args.output if run_core else "",
-                   args.datapath_output if run_core else "",
-                   args.serve_output):
+    datapath_output = "" if args.serve_only else args.datapath_output
+    for output in (datapath_output, args.serve_output):
         out_dir = os.path.dirname(output) or "."
         if output and not os.path.isdir(out_dir):
             # Fail before spending half a minute benchmarking.
@@ -141,27 +132,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.check:
         # Load baselines *before* the fresh reports overwrite them:
         # the default output paths are the committed baseline paths.
-        if run_core:
-            baselines["core"] = perfbench.load_report(args.baseline)
-            if args.datapath_output:
-                baselines["datapath"] = perfbench.load_report(
-                    args.datapath_baseline
-                )
+        if datapath_output:
+            baselines["datapath"] = perfbench.load_report(
+                args.datapath_baseline
+            )
         if args.serve_output:
             baselines["serve"] = perfbench.load_report(
                 args.serve_baseline
             )
-    payload = dp_payload = None
-    if run_core:
-        payload = perfbench.run_suite(quick=args.quick)
-        perfbench.write_report(payload, args.output)
-        print(perfbench.render(payload))
-        print(f"wrote {args.output}")
-        if args.datapath_output:
-            dp_payload = perfbench.run_datapath_suite(quick=args.quick)
-            perfbench.write_report(dp_payload, args.datapath_output)
-            print(perfbench.render_datapath(dp_payload))
-            print(f"wrote {args.datapath_output}")
+    dp_payload = None
+    if datapath_output:
+        dp_payload = perfbench.run_datapath_suite(quick=args.quick)
+        perfbench.write_report(dp_payload, datapath_output)
+        print(perfbench.render_datapath(dp_payload))
+        print(f"wrote {datapath_output}")
     serve_payload = None
     if args.serve_output:
         from repro.serve import loadgen
@@ -174,7 +158,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     failed = False
     for current, baseline in (
-        (payload, baselines.get("core")),
         (dp_payload, baselines.get("datapath")),
         (serve_payload, baselines.get("serve")),
     ):
@@ -637,29 +620,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
-        "bench", help="run the simulation-core performance suite"
+        "bench", help="run the in-run performance gate suites"
     )
     p.add_argument("--quick", action="store_true",
                    help="smaller repeats; finishes in under a minute")
-    p.add_argument("--output", default="BENCH_core.json")
     p.add_argument("--datapath-output", default="BENCH_datapath.json",
                    help="data-path report path (empty string skips it)")
     p.add_argument("--check", action="store_true",
                    help="compare against committed baselines; exit 1 "
                         "on a >15%% speedup-ratio regression or an "
                         "unmet committed criterion")
-    p.add_argument("--baseline", default="BENCH_core.json",
-                   help="core baseline report for --check")
     p.add_argument("--datapath-baseline", default="BENCH_datapath.json",
                    help="data-path baseline report for --check")
     p.add_argument("--allow-red-baseline", action="store_true",
                    help="downgrade unmet committed criteria to a "
                         "warning (acknowledged known-red baseline)")
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile a fresh ESCAT-A run and write a "
-                        "top-N pstats table instead of the suite")
-    p.add_argument("--profile-output", default="PROFILE_escat_A.txt",
-                   help="pstats table path for --profile")
     p.add_argument("--serve-output", default="", metavar="PATH",
                    help="also run the serve traffic suite and write "
                         "its report here (e.g. BENCH_serve.json; "
@@ -667,8 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--serve-baseline", default="BENCH_serve.json",
                    help="serve baseline report for --check")
     p.add_argument("--serve-only", action="store_true",
-                   help="skip the core and datapath suites; run only "
-                        "the serve suite (needs --serve-output)")
+                   help="skip the datapath suite; run only the "
+                        "serve suite (needs --serve-output)")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser(

@@ -1,218 +1,56 @@
-"""Performance benchmarks for the simulation core.
+"""The in-run performance gate (``repro bench``).
 
-Three layers are measured:
+The datapath suite (:func:`run_datapath_suite`, emitted as
+``BENCH_datapath.json``) times each workload under both
+``REPRO_FAST_DATAPATH`` settings, interleaved in one process, and
+reports how many times faster the batched path runs than the
+event-stepped oracle (``=0``):
 
-``engine``
-    Raw DES kernel throughput (events/sec, median of repeats).  The
-    workload is an event *churn*: one driver process arms a fan of
-    fire-and-forget timeouts per step, so the measurement isolates
-    event allocation, scheduling, and dispatch (the kernel layer)
-    rather than generator resumption.
-
-``engine_process_driven``
-    The same measurement on a generator-heavy shape (many processes
-    each yielding timeouts) — closer to application code, with kernel
-    costs diluted by generator resume costs.
-
-``tracer``
-    Columnar trace capture: ``Tracer.record_fields`` calls/sec and the
-    cost of ``finish()`` (column build + sort) per record.
-
+``server``
+    requests/s through loaded stripe servers;
+``contended_end_to_end``
+    the wall of the same loaded-server run at a wider client count,
+    where analytic spans stack on busy servers;
 ``end_to_end``
-    A fresh paper-scale ESCAT-A simulation (the most expensive single
-    run behind the tables), plus the cached-reload path.
+    a fresh ESCAT-A run (paper scale, scaled down under ``--quick``).
 
-The core suite reports absolute rates and walls only.  They track the
-host machine, not the code, so it carries no criteria and no
-regression rows; end-to-end performance is measured by the repository
-benchmark (``perfbench/``).
+``repro bench --check`` judges those ratios against the committed
+baseline (:func:`check_regressions`) and the committed criteria
+(:func:`check_criteria`); the serve suite
+(:mod:`repro.serve.loadgen`) contributes absolute floors.  Absolute
+end-to-end and per-layer numbers come from the repository benchmark
+(``perfbench/run.py``), not from here.
 
-A second suite (:func:`run_datapath_suite`, emitted as
-``BENCH_datapath.json``) measures the batched PFS data path: stripe
-decomposition throughput (scalar vs vectorized pieces/s), requests/s
-through loaded stripe servers under both ``REPRO_FAST_DATAPATH``
-settings, and the fresh ESCAT-A wall time against the PR 1 baseline
-in :data:`DATAPATH_BASELINE`.
-
-All measurements use wall-clock ``time.perf_counter``.  Nothing here
-affects simulation results; determinism is asserted separately by
-``tests/test_determinism.py``.
+Nothing here affects simulation results; determinism is asserted
+separately by ``tests/test_determinism.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 import platform
 import statistics
 import sys
-import tempfile
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.sim.engine import Engine
 
-
-def _churn(env: Engine, n_events: int, fan: int) -> int:
-    """Arm ``fan`` fire-and-forget timeouts per driver step."""
-
-    def driver(env: Engine):
-        timeout = env.timeout
-        emitted = 0
-        while emitted < n_events:
-            for _ in range(fan):
-                timeout(1.0)
-            emitted += fan + 1
-            yield timeout(1.0)
-
-    env.process(driver(env))
-    env.run()
-    return n_events
-
-
-def _process_driven(env: Engine, n_procs: int, n_steps: int) -> int:
-    """Classic shape: ``n_procs`` concurrent processes yielding."""
-
-    def proc(env: Engine):
-        for _ in range(n_steps):
-            yield env.timeout(1.0)
-
-    for _ in range(n_procs):
-        env.process(proc(env))
-    env.run()
-    # +2: each process costs an Initialize and a completion event.
-    return n_procs * (n_steps + 2)
-
-
-def _rate(workload: Callable[[Engine], int]) -> float:
-    env = Engine()
-    start = time.perf_counter()
-    events = workload(env)
-    return events / (time.perf_counter() - start)
-
-
-def _measure(workload: Callable[[Engine], int], repeats: int) -> Dict:
-    """Kernel events/s over ``repeats`` runs: median and range."""
-    rates = [_rate(workload) for _ in range(repeats)]
-    return {
-        "events_per_s": round(statistics.median(rates)),
-        "events_per_s_range": [round(min(rates)), round(max(rates))],
-        "repeats": repeats,
-    }
-
-
-def bench_engine(quick: bool = False) -> Dict:
-    n = 100_000 if quick else 200_000
-    out = _measure(lambda env: _churn(env, n, fan=255), repeats=5)
-    out["workload"] = f"event churn: {n} timeouts, fan 255"
-    return out
-
-
-def bench_engine_process_driven(quick: bool = False) -> Dict:
-    n_procs, n_steps = (100, 1000) if quick else (100, 2000)
-    out = _measure(
-        lambda env: _process_driven(env, n_procs, n_steps), repeats=3
-    )
-    out["workload"] = f"{n_procs} processes x {n_steps} timeout yields"
-    return out
-
-
-def bench_tracer(quick: bool = False) -> Dict:
-    from repro.pablo.tracer import OP_LIST, Tracer
-
-    n = 100_000 if quick else 300_000
-    ops = [OP_LIST[i % len(OP_LIST)] for i in range(64)]
-    paths = [f"/pfs/stage{i}.dat" for i in range(8)]
-    best_record = 0.0
-    best_finish = 0.0
-    for _ in range(3):
-        tracer = Tracer()
-        record = tracer.record_fields
-        start = time.perf_counter()
-        for i in range(n):
-            record(
-                i & 15, ops[i & 63], paths[i & 7],
-                i * 1e-6, 1e-6, 4096, i * 4096, "", "compute",
-            )
-        record_dt = time.perf_counter() - start
-        start = time.perf_counter()
-        trace = tracer.finish()
-        finish_dt = time.perf_counter() - start
-        assert len(trace) == n
-        best_record = max(best_record, n / record_dt)
-        best_finish = max(best_finish, n / finish_dt)
-    return {
-        "records_per_s": round(best_record),
-        "finish_records_per_s": round(best_finish),
-        "n_records": n,
-    }
-
-
-def bench_end_to_end() -> Dict:
-    """Fresh and cached-reload paper-scale ESCAT-A (any ``--quick``)."""
-    from repro.apps import ETHYLENE, run_escat
-    from repro.experiments import cache
-
-    seed = 1996
-    start = time.perf_counter()
-    result = run_escat("A", ETHYLENE, seed=seed)
-    fresh_s = time.perf_counter() - start
-
-    # Cached-reload path, against a throwaway cache directory.
-    old_dir = os.environ.get("REPRO_CACHE_DIR")
-    old_enabled = os.environ.get("REPRO_CACHE")
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        os.environ.pop("REPRO_CACHE", None)
-        try:
-            key = cache.run_key(
-                kind="escat", version="A", problem=ETHYLENE, seed=seed
-            )
-            cache.store(key, result)
-            start = time.perf_counter()
-            reloaded = cache.load(key)
-            cached_s = time.perf_counter() - start
-            assert reloaded is not None
-            assert len(reloaded.trace) == len(result.trace)
-        finally:
-            if old_dir is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = old_dir
-            if old_enabled is not None:
-                os.environ["REPRO_CACHE"] = old_enabled
-
-    return {
-        "fresh_wall_s": round(fresh_s, 2),
-        "cached_wall_s": round(cached_s, 2),
-        "records": len(result.trace),
-    }
-
-
-#: Fresh paper-scale ESCAT-A measured at the PR 1 commit (fast kernel
-#: + columnar tracer, legacy per-piece data path) on the reference
-#: container.  The ``datapath`` suite reports the batched data path
-#: against this.
-DATAPATH_BASELINE = {
-    "description": (
-        "fresh paper-scale ESCAT-A at the PR 1 commit "
-        "(fast kernel, per-piece event-stepped data path)"
-    ),
-    "escat_A_wall_s": 8.36,
-    "escat_A_records": 367786,
-}
-
 #: Acceptance thresholds for the datapath suite.  The original
 #: ``end_to_end_speedup_min: 2.0`` target (fresh paper-scale ESCAT-A,
-#: batched vs per-piece datapath) is Amdahl-capped: the committed
-#: ``PROFILE_escat_A.txt`` shows the remaining wall clock is dominated
-#: by the half-million per-request resumptions of the version-A shared
-#: phase-1 parse (every read serializes through the M_UNIX atomicity
-#: token, so no exclusive window exists to batch) plus kernel event
-#: dispatch — layers the datapath cannot touch.  The end-to-end
-#: criterion is therefore gated on the *contended* end-to-end workload
-#: below, where requests actually queue on the stripe servers and span
-#: batching pays; see docs/performance.md for the full breakdown.
+#: batched vs per-piece datapath) is Amdahl-capped: the remaining wall
+#: clock is dominated by the half-million per-request resumptions of
+#: the version-A shared phase-1 parse (every read serializes through
+#: the M_UNIX atomicity token, so no exclusive window exists to batch)
+#: plus kernel event dispatch — layers the datapath cannot touch (the
+#: per-layer ledger of ``perfbench/run.py --trace 1`` shows where the
+#: wall goes).  The end-to-end criterion is therefore gated on the
+#: *contended* end-to-end workload, where requests actually queue on
+#: the stripe servers and span batching pays; see docs/performance.md
+#: for the full breakdown.
 #:
 #: ``server_speedup_min`` was re-based from 1.5 alongside the
 #: app-layer fast path: the leaner generator trampoline roughly
@@ -226,47 +64,37 @@ DATAPATH_CRITERIA = {
 }
 
 
-def bench_datapath_decomposition(quick: bool = False) -> Dict:
-    """pieces/s: scalar ``pieces()`` vs vectorized ``pieces_arrays()``."""
-    from repro.pfs.striping import StripeLayout
-
-    stripe = 64 * 1024
-    layout = StripeLayout(stripe_size=stripe, n_io_nodes=16)
-    span_stripes = 256  # one large request crossing 256 stripes
-    nbytes = span_stripes * stripe
-    reps = 200 if quick else 600
-    best_scalar = 0.0
-    best_vector = 0.0
-    for _ in range(3):
-        start = time.perf_counter()
-        for i in range(reps):
-            pieces = layout.pieces(i * 37, nbytes)
-        scalar_dt = time.perf_counter() - start
-        n_pieces = len(pieces)
-        start = time.perf_counter()
-        for i in range(reps):
-            layout.pieces_arrays(i * 37, nbytes)
-        vector_dt = time.perf_counter() - start
-        best_scalar = max(best_scalar, reps * n_pieces / scalar_dt)
-        best_vector = max(best_vector, reps * n_pieces / vector_dt)
-    return {
-        "workload": f"{reps} decompositions x {span_stripes + 1} pieces",
-        "scalar_pieces_per_s": round(best_scalar),
-        "vectorized_pieces_per_s": round(best_vector),
-        "speedup": round(best_vector / best_scalar, 2),
-    }
+@contextlib.contextmanager
+def _environ(**values: str) -> Iterator[None]:
+    """Set ``REPRO_*`` variables for one run, then restore them."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, old in saved.items():
+            if old is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = old
 
 
 def _server_load_run(fast_datapath: bool, n_ranks: int, ops: int) -> float:
-    """Wall seconds for ``n_ranks`` clients hammering the servers."""
+    """Wall seconds for ``n_ranks`` clients hammering the servers.
+
+    Every rank drives its own unbuffered file through the full client
+    API (open, ``ops`` stripe-sized writes, seek 0, ``ops`` reads,
+    close) over a four-I/O-node partition, so requests queue on the
+    stripe servers.  Per-file batched submission is deliberately not
+    used: concurrent batchers on shared servers violate the
+    exclusive-window contract (see ``PFS.write_batch``).
+    """
     from repro.machine import (
         DiskConfig, MachineConfig, NetworkConfig, ParagonXPS,
     )
     from repro.pfs import PFS
 
-    old = os.environ.get("REPRO_FAST_DATAPATH")
-    os.environ["REPRO_FAST_DATAPATH"] = "1" if fast_datapath else "0"
-    try:
+    with _environ(REPRO_FAST_DATAPATH="1" if fast_datapath else "0"):
         env = Engine()
         machine = ParagonXPS(env, MachineConfig(
             mesh_cols=4, mesh_rows=4, n_compute_nodes=16, n_io_nodes=4,
@@ -291,11 +119,6 @@ def _server_load_run(fast_datapath: bool, n_ranks: int, ops: int) -> float:
         start = time.perf_counter()
         env.run()
         return time.perf_counter() - start
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_FAST_DATAPATH", None)
-        else:
-            os.environ["REPRO_FAST_DATAPATH"] = old
 
 
 def bench_datapath_server(quick: bool = False) -> Dict:
@@ -323,34 +146,20 @@ def bench_datapath_server(quick: bool = False) -> Dict:
 def _escat_fresh_run(fast_datapath: bool, problem) -> Dict:
     from repro.apps import run_escat
 
-    old_dp = os.environ.get("REPRO_FAST_DATAPATH")
-    old_cache = os.environ.get("REPRO_CACHE")
-    os.environ["REPRO_FAST_DATAPATH"] = "1" if fast_datapath else "0"
-    os.environ["REPRO_CACHE"] = "0"
-    try:
-        import gc
-
+    with _environ(REPRO_FAST_DATAPATH="1" if fast_datapath else "0",
+                  REPRO_CACHE="0"):
         gc.collect()
         start = time.perf_counter()
         result = run_escat("A", problem, seed=1996)
         wall = time.perf_counter() - start
         return {"wall_s": round(wall, 2), "records": len(result.trace)}
-    finally:
-        if old_dp is None:
-            os.environ.pop("REPRO_FAST_DATAPATH", None)
-        else:
-            os.environ["REPRO_FAST_DATAPATH"] = old_dp
-        if old_cache is None:
-            os.environ.pop("REPRO_CACHE", None)
-        else:
-            os.environ["REPRO_CACHE"] = old_cache
 
 
 def bench_datapath_end_to_end(quick: bool = False) -> Dict:
     """Fresh ESCAT-A wall time, batched vs per-piece data path.
 
     ``--quick`` uses a scaled-down problem; the full suite runs paper
-    scale and reports against :data:`DATAPATH_BASELINE`.
+    scale.
     """
     from repro.apps import ETHYLENE, scaled_escat_problem
 
@@ -378,7 +187,7 @@ def bench_datapath_end_to_end(quick: bool = False) -> Dict:
         legacy_walls.append(legacy["wall_s"])
     fast_med = statistics.median(fast_walls)
     legacy_med = statistics.median(legacy_walls)
-    out = {
+    return {
         "scale": scale,
         "fast_wall_s": fast_med,
         "legacy_wall_s": legacy_med,
@@ -387,77 +196,22 @@ def bench_datapath_end_to_end(quick: bool = False) -> Dict:
         "records": records,
         "speedup_vs_legacy_datapath": round(legacy_med / fast_med, 2),
     }
-    if not quick:
-        out["speedup_vs_pr1_baseline"] = round(
-            DATAPATH_BASELINE["escat_A_wall_s"] / fast_med, 2
-        )
-    return out
-
-
-def _contended_run(fast_datapath: bool, n_ranks: int, ops: int) -> float:
-    """Wall seconds for one complete contended multi-client run.
-
-    Every rank drives its own file through the full client API (open,
-    stripe-aligned writes, read-back, close) over a small I/O-node
-    partition, so requests queue on the stripe servers and the batched
-    datapath's span stacking is the path under test.  Per-file batched
-    submission is deliberately not used here: sixteen concurrent
-    batchers on four shared servers violate the exclusive-window
-    contract (see ``PFS.write_batch``).
-    """
-    from repro.machine import (
-        DiskConfig, MachineConfig, NetworkConfig, ParagonXPS,
-    )
-    from repro.pfs import PFS
-
-    stripe = 64 * 1024
-    old = os.environ.get("REPRO_FAST_DATAPATH")
-    os.environ["REPRO_FAST_DATAPATH"] = "1" if fast_datapath else "0"
-    try:
-        env = Engine()
-        machine = ParagonXPS(env, MachineConfig(
-            mesh_cols=4, mesh_rows=4, n_compute_nodes=16, n_io_nodes=4,
-            stripe_size=stripe, network=NetworkConfig(),
-            disk=DiskConfig(),
-        ))
-        pfs = PFS(env, machine)
-
-        def proc(rank):
-            cli = pfs.client(rank)
-            h = yield from cli.open(f"/pfs/cont{rank}", buffered=False)
-            for _ in range(ops):
-                yield from cli.write(h, stripe)
-            yield from cli.seek(h, 0)
-            for _ in range(ops):
-                yield from cli.read(h, stripe)
-            yield from cli.close(h)
-
-        for rank in range(n_ranks):
-            env.process(proc(rank), name=f"cont-{rank}")
-        start = time.perf_counter()
-        env.run()
-        return time.perf_counter() - start
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_FAST_DATAPATH", None)
-        else:
-            os.environ["REPRO_FAST_DATAPATH"] = old
 
 
 def bench_datapath_contended(quick: bool = False) -> Dict:
     """Contended end-to-end wall time, batched vs per-piece datapath.
 
-    This is the workload the end-to-end criterion is gated on: sixteen
-    clients over four I/O nodes, where stripe servers stay loaded and
-    analytic spans stack instead of falling back.  Interleaved
-    median-of-3 walls.
+    This is the workload the end-to-end criterion is gated on: the
+    loaded-server run at sixteen clients over four I/O nodes, where
+    stripe servers stay loaded and analytic spans stack instead of
+    falling back.  Interleaved median-of-3 walls.
     """
     n_ranks, ops = (16, 120) if quick else (16, 400)
     fast_walls: List[float] = []
     legacy_walls: List[float] = []
     for _ in range(3):
-        fast_walls.append(_contended_run(True, n_ranks, ops))
-        legacy_walls.append(_contended_run(False, n_ranks, ops))
+        fast_walls.append(_server_load_run(True, n_ranks, ops))
+        legacy_walls.append(_server_load_run(False, n_ranks, ops))
     fast_med = statistics.median(fast_walls)
     legacy_med = statistics.median(legacy_walls)
     return {
@@ -479,17 +233,14 @@ def run_datapath_suite(quick: bool = False) -> Dict:
     # End-to-end first: the big simulation is the most heap-sensitive
     # measurement, so it runs on a fresh process heap.
     end_to_end = bench_datapath_end_to_end(quick)
-    decomposition = bench_datapath_decomposition(quick)
     server = bench_datapath_server(quick)
     contended = bench_datapath_contended(quick)
     payload = {
         "benchmark": "repro batched PFS data path",
         "quick": quick,
-        "decomposition": decomposition,
         "server": server,
         "end_to_end": end_to_end,
         "contended_end_to_end": contended,
-        "baseline_pr1": DATAPATH_BASELINE,
         "criteria": DATAPATH_CRITERIA,
         "environment": {
             "python": sys.version.split()[0],
@@ -506,15 +257,11 @@ def run_datapath_suite(quick: bool = False) -> Dict:
 
 def render_datapath(payload: Dict) -> str:
     """Human-readable summary of a datapath suite payload."""
-    dec = payload["decomposition"]
     srv = payload["server"]
     e2e = payload["end_to_end"]
     lines = [
         "batched data path benchmarks"
         + (" (quick)" if payload["quick"] else ""),
-        f"  decomposition     scalar {dec['scalar_pieces_per_s']:>11,}"
-        f" pieces/s  vectorized {dec['vectorized_pieces_per_s']:>11,}"
-        f" pieces/s  speedup {dec['speedup']:.2f}x",
         f"  loaded servers    legacy {srv['legacy_requests_per_s']:>11,}"
         f" req/s     fast {srv['fast_requests_per_s']:>11,} req/s"
         f"  speedup {srv['speedup']:.2f}x",
@@ -523,12 +270,6 @@ def render_datapath(payload: Dict) -> str:
         f"  speedup {e2e['speedup_vs_legacy_datapath']:.2f}x"
         f"  ({e2e['scale']} scale, {e2e['records']:,} records)",
     ]
-    if "speedup_vs_pr1_baseline" in e2e:
-        lines.append(
-            f"  vs PR 1 baseline  {payload['baseline_pr1']['escat_A_wall_s']}s"
-            f" -> {e2e['fast_wall_s']:.2f}s"
-            f"  speedup {e2e['speedup_vs_pr1_baseline']:.2f}x"
-        )
     cont = payload.get("contended_end_to_end")
     if cont is not None:
         lines.append(
@@ -537,98 +278,6 @@ def render_datapath(payload: Dict) -> str:
             f"  speedup {cont['speedup_vs_legacy_datapath']:.2f}x"
         )
     lines.append(f"  suite wall        {payload['suite_wall_s']:.1f}s")
-    return "\n".join(lines)
-
-
-def run_profile(quick: bool = False, top: int = 30) -> str:
-    """cProfile a fresh fast-path ESCAT-A run; return a pstats table.
-
-    The artifact (``repro bench --profile``) is the starting point for
-    the next perf PR: top-``top`` functions by cumulative and by own
-    time, over the hottest single simulation behind the tables.
-    ``--quick`` profiles a scaled-down problem for CI; the committed
-    ``PROFILE_escat_A.txt`` is a paper-scale run.
-    """
-    import cProfile
-    import io as _io
-    import pstats
-
-    from repro.apps import ETHYLENE, run_escat, scaled_escat_problem
-
-    problem = (
-        scaled_escat_problem(n_nodes=64, records_per_channel=64)
-        if quick else ETHYLENE
-    )
-    scale = "scaled (64 nodes)" if quick else "paper"
-    old_cache = os.environ.get("REPRO_CACHE")
-    os.environ["REPRO_CACHE"] = "0"
-    try:
-        profiler = cProfile.Profile()
-        start = time.perf_counter()
-        profiler.enable()
-        result = run_escat("A", problem, seed=1996)
-        profiler.disable()
-        wall = time.perf_counter() - start
-    finally:
-        if old_cache is None:
-            os.environ.pop("REPRO_CACHE", None)
-        else:
-            os.environ["REPRO_CACHE"] = old_cache
-    stream = _io.StringIO()
-    stream.write(
-        f"cProfile of fresh ESCAT-A ({scale} scale), seed 1996: "
-        f"{len(result.trace):,} trace records in {wall:.2f}s wall\n"
-        f"flags: REPRO_FAST_DATAPATH="
-        f"{os.environ.get('REPRO_FAST_DATAPATH', '1')}\n\n"
-    )
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("cumulative").print_stats(top)
-    stats.sort_stats("tottime").print_stats(top)
-    return stream.getvalue()
-
-
-def run_suite(quick: bool = False) -> Dict:
-    """Run every benchmark; returns the BENCH_core.json payload."""
-    suite_start = time.perf_counter()
-    engine = bench_engine(quick)
-    engine_pd = bench_engine_process_driven(quick)
-    tracer = bench_tracer(quick)
-    end_to_end = bench_end_to_end()
-    payload = {
-        "benchmark": "repro fast simulation core",
-        "quick": quick,
-        "engine": engine,
-        "engine_process_driven": engine_pd,
-        "tracer": tracer,
-        "end_to_end": end_to_end,
-        "environment": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-        },
-        "suite_wall_s": 0.0,
-    }
-    payload["suite_wall_s"] = round(time.perf_counter() - suite_start, 2)
-    return payload
-
-
-def render(payload: Dict) -> str:
-    """Human-readable one-screen summary of a suite payload."""
-    eng = payload["engine"]
-    pd = payload["engine_process_driven"]
-    tr = payload["tracer"]
-    e2e = payload["end_to_end"]
-    lines = [
-        "simulation core benchmarks"
-        + (" (quick)" if payload["quick"] else ""),
-        f"  engine churn      {eng['events_per_s']:>10,} events/s",
-        f"  engine processes  {pd['events_per_s']:>10,} events/s",
-        f"  tracer capture    {tr['records_per_s']:>10,} records/s"
-        f"  (finish {tr['finish_records_per_s']:,}/s)",
-        f"  escat-A fresh     {e2e['fresh_wall_s']:.2f}s"
-        f"  ({e2e['records']:,} records)",
-        f"  escat-A cached    {e2e['cached_wall_s']:.2f}s",
-        f"  suite wall        {payload['suite_wall_s']:.1f}s",
-    ]
     return "\n".join(lines)
 
 
@@ -652,9 +301,6 @@ REGRESSION_THRESHOLD = 0.15
 #: reasons that are not regressions).
 _CHECK_METRICS = {
     "repro batched PFS data path": (
-        # Vectorized decomposition speedup amortizes over batch size,
-        # so it shifts with problem scale: only compare like-for-like.
-        ("decomposition.speedup", ("decomposition", "speedup"), True),
         ("server.speedup", ("server", "speedup"), False),
         (
             "end_to_end.speedup_vs_legacy_datapath",
@@ -667,11 +313,10 @@ _CHECK_METRICS = {
             True,
         ),
     ),
-    # The core and serve suites have no in-run fast/legacy ratio to
-    # compare — their absolute rates track the host machine, so the
-    # relative gate compares nothing for them (the serve suite's
-    # conservative absolute criteria below carry its whole gate).
-    "repro fast simulation core": (),
+    # The serve suite has no in-run fast/legacy ratio to compare — its
+    # absolute rates track the host machine, so the relative gate
+    # compares nothing for it (its conservative absolute criteria
+    # below carry its whole gate).
     "repro serve traffic": (),
 }
 

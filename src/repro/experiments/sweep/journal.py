@@ -35,7 +35,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.errors import SweepError
 
@@ -103,6 +103,39 @@ class JournalState:
         return self.n_points - len(self.terminal_ids)
 
 
+def parse_records(
+    text: str, name: str, error: Type[Exception]
+) -> Tuple[List[Dict], int]:
+    """Parse JSONL journal ``text`` into ``(records, torn_lines)``.
+
+    Every non-blank line must be a JSON object with an ``"event"``
+    field.  A line that is not is tolerated only at the very end — the
+    torn final append of a killed writer — and counted; anywhere else
+    it is real corruption, raised as ``error`` (each journal keeps its
+    own error type) naming the journal ``name`` and the line.
+    """
+    lines = text.splitlines()
+    records: List[Dict] = []
+    torn = 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict) or "event" not in record:
+                raise ValueError("not a journal record")
+        except ValueError:
+            if lineno != len(lines):
+                raise error(
+                    f"{name} is corrupt at line {lineno} "
+                    "(torn records are only tolerated at the end)"
+                ) from None
+            torn += 1
+            continue
+        records.append(record)
+    return records, torn
+
+
 def read_journal(path) -> JournalState:
     """Replay ``path`` into a :class:`JournalState`.
 
@@ -117,24 +150,9 @@ def read_journal(path) -> JournalState:
     except OSError as exc:
         raise SweepError(f"cannot read sweep journal {path}: {exc}")
     state = JournalState(path=str(path))
-    lines = text.splitlines()
-    parsed: List[Dict] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict) or "event" not in record:
-                raise ValueError("not a journal record")
-        except ValueError:
-            state.torn_lines += 1
-            if lineno != len(lines):
-                raise SweepError(
-                    f"sweep journal {path} is corrupt at line {lineno} "
-                    "(torn records are only tolerated at the end)"
-                )
-            continue
-        parsed.append(record)
+    parsed, state.torn_lines = parse_records(
+        text, f"sweep journal {path}", SweepError
+    )
     for record in parsed:
         event = record["event"]
         if event == "sweep":

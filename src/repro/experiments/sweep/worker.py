@@ -52,15 +52,28 @@ def _summary(result, cache_hit: bool) -> Dict:
     }
 
 
-def execute_point(point, wall_timeout=None):
+def execute_point(point, wall_timeout=None, with_telemetry=False):
     """Run one point guarded; returns ``(kind, payload)`` messages'
-    tail — shared by workers and the driver's in-process fallback."""
+    tail — shared by workers and the driver's in-process fallback.
+
+    ``with_telemetry`` is the serve layer's opt-in mode (sweeps never
+    pass it): it enables the zero-overhead sampler for this one run
+    and attaches its time series to the summary, so the events
+    endpoint can stream run progress.
+    """
+    from repro import telemetry
     from repro.experiments.runner import run_guarded
 
     before = cache.session_stats()["hits"]
-    guarded = run_guarded(
-        lambda: point.plan().fetch_or_run(), wall_timeout=wall_timeout
-    )
+    if with_telemetry:
+        telemetry.set_enabled(True)
+    try:
+        guarded = run_guarded(
+            lambda: point.plan().fetch_or_run(), wall_timeout=wall_timeout
+        )
+    finally:
+        if with_telemetry:
+            telemetry.set_enabled(None)
     if guarded.timed_out:
         return "timeout", None
     if guarded.error is not None:
@@ -69,11 +82,23 @@ def execute_point(point, wall_timeout=None):
             "traceback": guarded.traceback,
         }
     hit = cache.session_stats()["hits"] > before
-    return "done", _summary(guarded.result, hit)
+    summary = _summary(guarded.result, hit)
+    if with_telemetry:
+        snapshot = getattr(guarded.result, "telemetry", None)
+        if snapshot:
+            summary["timeseries"] = snapshot.get("timeseries")
+    return "done", summary
 
 
-def worker_main(worker_id: int, inbox, results) -> None:
-    """The worker process body (target of ``multiprocessing.Process``)."""
+def worker_main(worker_id: int, inbox, results, execute=None) -> None:
+    """The worker process body (target of ``multiprocessing.Process``).
+
+    Each inbox message is ``(point, *args)``; ``execute(point, *args)``
+    runs it (default :func:`execute_point`, whose ``args`` are the
+    wall-clock guard and, from the serve layer, the telemetry flag).
+    """
+    if execute is None:
+        execute = execute_point
     parent = os.getppid()
     while True:
         try:
@@ -86,9 +111,9 @@ def worker_main(worker_id: int, inbox, results) -> None:
         if msg is None:
             results.put(("bye", worker_id, None, None))
             return
-        point, wall_timeout = msg
+        point, *args = msg
         try:
-            kind, payload = execute_point(point, wall_timeout)
+            kind, payload = execute(point, *args)
         except BaseException as exc:  # noqa: BLE001 - last-ditch report
             # run_guarded already folds Exception; this catches
             # KeyboardInterrupt/SystemExit reaching a *worker* (which

@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.errors import PFSError
-
-#: Below this piece count a plain Python loop beats array setup costs.
-_VECTOR_MIN_PIECES = 64
 
 
 @dataclass(frozen=True)
@@ -102,43 +97,6 @@ class StripeLayout:
             remaining -= take
         return out
 
-    def pieces_arrays(
-        self, offset: int, nbytes: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`pieces`: parallel arrays instead of objects.
-
-        Returns ``(io_node, disk_offset, file_offset, nbytes)`` int64
-        arrays, one entry per piece in file order.  Integer-only NumPy
-        arithmetic, so the values are exactly those of the scalar loop.
-
-        >>> layout = StripeLayout(stripe_size=64, n_io_nodes=4)
-        >>> io, dsk, off, n = layout.pieces_arrays(32, 96)
-        >>> io.tolist(), n.tolist()
-        ([0, 1], [32, 64])
-        """
-        if nbytes < 0:
-            raise PFSError(f"negative request size {nbytes}")
-        if offset < 0:
-            raise PFSError(f"negative offset {offset}")
-        empty = np.empty(0, dtype=np.int64)
-        if nbytes == 0:
-            return empty, empty, empty, empty
-        ss = self.stripe_size
-        first = offset // ss
-        last = (offset + nbytes - 1) // ss
-        stripes = np.arange(first, last + 1, dtype=np.int64)
-        starts = stripes * ss
-        file_off = np.maximum(starts, offset)
-        ends = np.minimum(starts + ss, offset + nbytes)
-        sizes = ends - file_off
-        io_nodes = stripes % self.n_io_nodes
-        disk_off = (
-            self.disk_base
-            + (stripes // self.n_io_nodes) * ss
-            + (file_off - starts)
-        )
-        return io_nodes, disk_off, file_off, sizes
-
     def stripe_groups(
         self, offset: int, nbytes: int
     ) -> List[Tuple[int, List[int], List[int], List[int]]]:
@@ -149,8 +107,7 @@ class StripeLayout:
         request first touches them; each group lists that node's
         pieces in file order.  Round-robin striping makes every group
         a strided slice of the file-order pieces, so no search is
-        needed.  Large requests decompose through
-        :meth:`pieces_arrays`.
+        needed.
 
         >>> layout = StripeLayout(stripe_size=64, n_io_nodes=2)
         >>> layout.stripe_groups(32, 160)
@@ -169,22 +126,16 @@ class StripeLayout:
         end = offset + nbytes
         last = (end - 1) // ss
         k = last - first + 1
-        if k < _VECTOR_MIN_PIECES:
-            doffs = []
-            foffs = []
-            ns = []
-            for stripe in range(first, last + 1):
-                start = stripe * ss
-                foff = offset if offset > start else start
-                pend = end if end < start + ss else start + ss
-                doffs.append(base + (stripe // n_io) * ss + (foff - start))
-                foffs.append(foff)
-                ns.append(pend - foff)
-        else:
-            _io, doff_a, foff_a, n_a = self.pieces_arrays(offset, nbytes)
-            doffs = doff_a.tolist()
-            foffs = foff_a.tolist()
-            ns = n_a.tolist()
+        doffs = []
+        foffs = []
+        ns = []
+        for stripe in range(first, last + 1):
+            start = stripe * ss
+            foff = offset if offset > start else start
+            pend = end if end < start + ss else start + ss
+            doffs.append(base + (stripe // n_io) * ss + (foff - start))
+            foffs.append(foff)
+            ns.append(pend - foff)
         if n_io == 1:
             return [(0, doffs, foffs, ns)]
         return [

@@ -27,13 +27,11 @@ their results, and interrupted jobs re-queue under their original ids.
 from __future__ import annotations
 
 import collections
-import json
 import queue
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro import telemetry
 from repro.errors import (
     ServeDuplicateJobError,
     ServeError,
@@ -43,7 +41,7 @@ from repro.errors import (
 from repro.experiments import cache
 from repro.experiments.sweep import worker as sweep_worker
 from repro.experiments.sweep.aggregate import point_rows
-from repro.experiments.sweep.journal import JournalWriter
+from repro.experiments.sweep.journal import JournalWriter, parse_records
 from repro.experiments.sweep.scheduler import (
     DEFAULT_BACKOFF,
     HARD_TIMEOUT_FACTOR,
@@ -61,71 +59,16 @@ JOURNAL_KIND = "serve"
 
 
 def execute_serve_point(point, wall_timeout, with_telemetry):
-    """Worker-side execution of one served point.
-
-    Identical to the sweep worker's :func:`execute_point` except for
-    the opt-in telemetry mode, which enables the zero-overhead sampler
-    for this one run and attaches its time series to the summary so
-    the events endpoint can stream run progress.
-    """
-    if not with_telemetry:
-        return sweep_worker.execute_point(point, wall_timeout)
-    from repro.experiments.runner import run_guarded
-
-    before = cache.session_stats()["hits"]
-    telemetry.set_enabled(True)
-    try:
-        guarded = run_guarded(
-            lambda: point.plan().fetch_or_run(),
-            wall_timeout=wall_timeout,
-        )
-    finally:
-        telemetry.set_enabled(None)
-    if guarded.timed_out:
-        return "timeout", None
-    if guarded.error is not None:
-        return "failed", {
-            "error": guarded.error,
-            "traceback": guarded.traceback,
-        }
-    hit = cache.session_stats()["hits"] > before
-    summary = sweep_worker._summary(guarded.result, hit)
-    snapshot = getattr(guarded.result, "telemetry", None)
-    if snapshot:
-        summary["timeseries"] = snapshot.get("timeseries")
-    return "done", summary
+    """Worker-side execution of one served point: the sweep worker's
+    :func:`execute_point` with the job's opt-in telemetry mode."""
+    return sweep_worker.execute_point(point, wall_timeout, with_telemetry)
 
 
 def serve_worker_main(worker_id: int, inbox, results) -> None:
-    """Worker process body for served runs — the sweep worker's loop
-    (orphan detection, sentinel discipline, last-ditch reporting) with
-    a three-field inbox message carrying the telemetry flag."""
-    import os
-    import traceback as traceback_module
-
-    parent = os.getppid()
-    while True:
-        try:
-            msg = inbox.get(timeout=sweep_worker.POLL_S)
-        except queue.Empty:
-            if os.getppid() != parent:
-                return
-            continue
-        if msg is None:
-            results.put(("bye", worker_id, None, None))
-            return
-        point, wall_timeout, with_telemetry = msg
-        try:
-            kind, payload = execute_serve_point(
-                point, wall_timeout, with_telemetry
-            )
-        except BaseException as exc:  # noqa: BLE001 - last-ditch report
-            results.put(("failed", worker_id, point.point_id, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback_module.format_exc(),
-            }))
-            continue
-        results.put((kind, worker_id, point.point_id, payload))
+    """Worker process body for served runs: the sweep worker's loop,
+    running :func:`execute_serve_point` on three-field inbox messages
+    that carry the telemetry flag."""
+    sweep_worker.worker_main(worker_id, inbox, results, execute_serve_point)
 
 
 class Job:
@@ -653,28 +596,18 @@ class ServeJournalState:
 def read_serve_journal(path) -> Optional[ServeJournalState]:
     """Replay a serve journal; ``None`` when no journal exists yet.
 
-    Same tolerance contract as the sweep journal reader: a torn final
-    line (the process died mid-append) is ignored, corruption anywhere
-    else is an error — silently skipping interior records would fake
-    completed work away.
+    Same tolerance contract as the sweep journal reader (one line
+    parser, :func:`~repro.experiments.sweep.journal.parse_records`): a
+    torn final line (the process died mid-append) is ignored,
+    corruption anywhere else is an error — silently skipping interior
+    records would fake completed work away.
     """
     path = Path(path)
     if not path.exists():
         return None
-    text = path.read_text()
-    lines = text.splitlines()
-    records: List[Dict] = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                break  # torn final append: the crash window
-            raise ServeError(
-                f"serve journal {path} is corrupt at line {i + 1}"
-            ) from None
+    records, _torn = parse_records(
+        path.read_text(), f"serve journal {path}", ServeError
+    )
     if not records:
         return None
     header = records[0]
@@ -685,7 +618,7 @@ def read_serve_journal(path) -> Optional[ServeJournalState]:
         )
     state = ServeJournalState()
     for record in records[1:]:
-        event = record.get("event")
+        event = record["event"]
         if event == "job":
             state.jobs.append(record)
         elif event == "done":

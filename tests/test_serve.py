@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis.rules import SCOPED_PACKAGES
 from repro.cli import build_parser, main
-from repro.errors import ServeSpecError
+from repro.errors import ServeError, ServeSpecError
 from repro.experiments import sweep
 from repro.experiments.sweep.aggregate import (
     METRIC_COLUMNS,
@@ -358,6 +358,25 @@ def test_torn_final_journal_line_is_tolerated(tmp_path):
     state = read_serve_journal(path)
     assert len(state.jobs) == 1
     assert not state.done
+
+
+@pytest.mark.parametrize("where", ["middle", "first"])
+def test_non_object_journal_line_is_corruption(tmp_path, where):
+    # A line that parses as JSON but is not a record object is
+    # corruption like any other unparsable interior line: a ServeError
+    # naming the line, not a crash in the record handling.
+    header = '{"kind": "serve", "event": "header", "version": 1}'
+    job = (
+        '{"event": "job", "job": "j00001-aaaaaaaa", "seq": 1,'
+        ' "spec": {"kind": "probe", "version": "ok", "seed": 1}}'
+    )
+    lines = [header, "[1, 2]", job] if where == "middle" \
+        else ["[1, 2]", header, job]
+    path = tmp_path / "serve.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    line = 2 if where == "middle" else 1
+    with pytest.raises(ServeError, match=f"corrupt at line {line}"):
+        read_serve_journal(path)
 
 
 # -- lint scope (satellite 6) ---------------------------------------------

@@ -367,7 +367,7 @@ def _fake_report(kind="repro batched PFS data path", quick=False, scale=1.0):
     return {
         "benchmark": kind,
         "quick": quick,
-        "decomposition": {"speedup": 30.0 * scale},
+        "contended_end_to_end": {"speedup_vs_legacy_datapath": 1.5 * scale},
         "server": {"speedup": 1.5 * scale},
     }
 
@@ -397,7 +397,7 @@ def test_check_regressions_skips_scale_sensitive_on_quick_mismatch():
         return {
             "benchmark": "repro batched PFS data path",
             "quick": quick,
-            "decomposition": {"speedup": 30.0},
+            "contended_end_to_end": {"speedup_vs_legacy_datapath": 1.5},
             "server": {"speedup": 0.7},
             "end_to_end": {"speedup_vs_legacy_datapath": speedup},
         }
@@ -407,7 +407,7 @@ def test_check_regressions_skips_scale_sensitive_on_quick_mismatch():
     )
     skipped = [r["metric"] for r in report["metrics"] if "skipped" in r]
     assert "end_to_end.speedup_vs_legacy_datapath" in skipped
-    assert "decomposition.speedup" in skipped
+    assert "contended_end_to_end.speedup_vs_legacy_datapath" in skipped
     assert not report["regressed"]
     # Like-for-like scale compares everything.
     report = perfbench.check_regressions(
@@ -445,19 +445,6 @@ def test_missing_metric_is_reported_not_crashed():
     rows = {r["metric"]: r for r in report["metrics"]}
     assert rows["server.speedup"]["skipped"] == "missing in report"
     assert not report["regressed"]
-
-
-def test_core_suite_is_report_only():
-    # Absolute kernel rates and walls track the host, so the core
-    # suite carries no regression rows and no criteria.
-    core = {
-        "benchmark": "repro fast simulation core",
-        "quick": False,
-        "engine": {"events_per_s": 1_000_000},
-        "end_to_end": {"fresh_wall_s": 5.0},
-    }
-    assert perfbench.check_regressions(core, core)["compared"] == 0
-    assert perfbench.check_criteria(core)["checked"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -581,23 +568,23 @@ def test_cli_bench_check_gates_on_baseline(tmp_path, monkeypatch, capsys):
     def fake_suite(quick=False):
         return _fake_report(quick=True, scale=0.5)  # 50% regression
 
-    monkeypatch.setattr(pb, "run_suite", fake_suite)
-    monkeypatch.setattr(pb, "render", lambda payload: "(suite output)")
+    monkeypatch.setattr(pb, "run_datapath_suite", fake_suite)
+    monkeypatch.setattr(pb, "render_datapath", lambda payload: "(suite)")
     rc = main([
         "bench", "--quick", "--check",
-        "--output", str(tmp_path / "out.json"),
-        "--datapath-output", "",
-        "--baseline", str(base_path),
+        "--datapath-output", str(tmp_path / "out.json"),
+        "--datapath-baseline", str(base_path),
     ])
     assert rc == 1
     assert "REGRESSION detected" in capsys.readouterr().out
 
-    monkeypatch.setattr(pb, "run_suite", lambda quick=False: baseline)
+    monkeypatch.setattr(
+        pb, "run_datapath_suite", lambda quick=False: baseline
+    )
     rc = main([
         "bench", "--quick", "--check",
-        "--output", str(tmp_path / "out.json"),
-        "--datapath-output", "",
-        "--baseline", str(base_path),
+        "--datapath-output", str(tmp_path / "out.json"),
+        "--datapath-baseline", str(base_path),
     ])
     assert rc == 0
     assert "verdict: ok" in capsys.readouterr().out
