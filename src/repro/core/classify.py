@@ -9,7 +9,6 @@ quantify the first two; access-mode usage falls out of the trace's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -63,9 +62,7 @@ def request_classes(
     """
     if small_threshold > large_threshold:
         raise AnalysisError("small threshold exceeds large threshold")
-    sizes = np.array(
-        [e.nbytes for e in trace.events if e.op == op], dtype=np.int64
-    )
+    sizes = trace.by_op(op).column("nbytes")
     if sizes.size == 0:
         return RequestClassStats(0, 0, 0, 0, 0, 0, small_threshold, large_threshold)
     small = sizes < small_threshold
@@ -100,11 +97,11 @@ class ConcurrencyStats:
 
 def concurrency_stats(trace: Trace) -> ConcurrencyStats:
     """Concurrency profile of the data operations in ``trace``."""
-    events = [e for e in trace.events if e.op in (IOOp.READ, IOOp.WRITE)]
-    if not events:
+    data = trace.data_events()
+    if not len(data):
         return ConcurrencyStats(0, 0, 0.0, 0.0)
-    starts = np.array([e.start for e in events])
-    ends = np.array([e.end for e in events])
+    starts = data.column("start")
+    ends = starts + data.column("duration")
     # Sweep: +1 at start, -1 at end.
     times = np.concatenate([starts, ends])
     deltas = np.concatenate([np.ones_like(starts), -np.ones_like(ends)])
@@ -121,15 +118,12 @@ def concurrency_stats(trace: Trace) -> ConcurrencyStats:
     denom = widths[active].sum()
     mean = float((levels[active] * widths[active]).sum() / denom) if denom > 0 else 0.0
 
-    per_node: Dict[int, int] = {}
-    for e in events:
-        per_node[e.node] = per_node.get(e.node, 0) + 1
-    busiest = max(per_node.values())
+    per_node = np.unique(data.column("node"), return_counts=True)[1]
     return ConcurrencyStats(
         active_nodes=len(per_node),
         peak_concurrency=peak,
         mean_concurrency=mean,
-        coordinator_share=busiest / len(events),
+        coordinator_share=int(per_node.max()) / len(data),
     )
 
 
@@ -140,7 +134,7 @@ def burstiness(trace: Trace, op: IOOp, window: float = 1.0) -> float:
     """
     if window <= 0:
         raise AnalysisError(f"window must be positive, got {window}")
-    starts = np.array([e.start for e in trace.events if e.op == op])
+    starts = trace.by_op(op).column("start")
     if starts.size == 0:
         return 0.0
     horizon = starts.max() + window

@@ -51,17 +51,15 @@ def profile_trace(
     large_threshold: int = 128 * KB,
 ) -> AccessPatternProfile:
     """Profile one version along the three dimensions."""
-    if not trace.events:
+    if not len(trace):
         raise AnalysisError("cannot profile an empty trace")
     reads = request_classes(trace, IOOp.READ, small_threshold, large_threshold)
     writes = request_classes(trace, IOOp.WRITE, small_threshold, large_threshold)
     conc = concurrency_stats(trace)
-    data_events = [
-        e for e in trace.events if e.op in (IOOp.READ, IOOp.WRITE)
-    ]
+    data = trace.data_events()
     serialized = (
-        sum(1 for e in data_events if e.mode == "M_UNIX") / len(data_events)
-        if data_events else 0.0
+        int((data.column("mode") == "M_UNIX").sum()) / len(data)
+        if len(data) else 0.0
     )
     return AccessPatternProfile(
         application=application,
@@ -72,7 +70,7 @@ def profile_trace(
         active_nodes=conc.active_nodes,
         coordinator_share=conc.coordinator_share,
         peak_concurrency=conc.peak_concurrency,
-        modes_used=sorted({e.mode for e in trace.events if e.mode}),
+        modes_used=trace.modes(),
         serialized_data_fraction=serialized,
     )
 

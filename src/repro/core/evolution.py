@@ -99,9 +99,7 @@ def compare_versions(
         stats = request_classes(r.trace, IOOp.READ, **kwargs)
         small_frac[r.version] = stats.small_count_fraction
         large_data[r.version] = stats.large_data_fraction
-        modes[r.version] = sorted(
-            {e.mode for e in r.trace.events if e.mode}
-        )
+        modes[r.version] = r.trace.modes()
     return VersionComparison(
         versions=versions,
         wall_times=wall,

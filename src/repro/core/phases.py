@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+import numpy as np
+
 from repro.errors import AnalysisError
 from repro.pablo.records import IOOp
 from repro.pablo.tracer import Trace
@@ -127,17 +129,11 @@ def classify_phases(trace: Trace, wall_time: float) -> Dict[str, str]:
 
 def _burst_count(trace: Trace, phase: str, gap_fraction: float = 0.05) -> int:
     """Number of write bursts within a phase (gap > 5% of phase span)."""
-    events = sorted(
-        (e.start for e in trace.events if e.phase == phase and e.op == IOOp.WRITE)
-    )
-    if not events:
+    # Trace columns are start-ordered, so the starts need no sort.
+    starts = trace.by_phase(phase).by_op(IOOp.WRITE).column("start")
+    if not len(starts):
         return 0
-    span = events[-1] - events[0]
+    span = starts[-1] - starts[0]
     if span <= 0:
         return 1
-    gap = span * gap_fraction
-    bursts = 1
-    for a, b in zip(events, events[1:]):
-        if b - a > gap:
-            bursts += 1
-    return bursts
+    return 1 + int((np.diff(starts) > span * gap_fraction).sum())

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from repro.errors import AnalysisError
 from repro.pablo.records import IOOp
 from repro.pablo.tracer import Trace
@@ -57,25 +55,24 @@ def evaluate_principles(
     """Evaluate the section-7 design principles against a trace."""
     if small_threshold <= 0:
         raise AnalysisError("small threshold must be positive")
-    reads = [e for e in trace.events if e.op == IOOp.READ]
-    writes = [e for e in trace.events if e.op == IOOp.WRITE]
-    data = reads + writes
+    reads = trace.by_op(IOOp.READ).events
+    writes = trace.by_op(IOOp.WRITE).events
+    data = trace.data_events()
 
     agg_reads = _sequential_small_fraction(reads, small_threshold)
     agg_writes = _sequential_small_fraction(writes, small_threshold)
     prefetchable = _sequential_fraction(reads)
     reread = _reread_fraction(reads)
     serialized = 0.0
-    if data:
-        serialized = sum(1 for e in data if e.mode == "M_UNIX") / len(data)
-    modes = len({e.mode for e in trace.events if e.mode})
+    if len(data):
+        serialized = int((data.column("mode") == "M_UNIX").sum()) / len(data)
     return DesignPrincipleReport(
         aggregatable_read_fraction=agg_reads,
         aggregatable_write_fraction=agg_writes,
         reread_byte_fraction=reread,
         prefetchable_read_fraction=prefetchable,
         serialized_data_fraction=serialized,
-        modes_exercised=modes,
+        modes_exercised=len(trace.modes()),
     )
 
 

@@ -1,18 +1,21 @@
 """Text rendering of the paper's tables.
 
 Renders operation-time breakdowns (Tables 2/5), execution-fraction
-tables (Table 3), and version comparisons in the same row layout the
-paper uses, so the benchmark harness output can be read side-by-side
-with the paper.
+tables (Table 3), node-activity/mode tables (Tables 1/4), and version
+comparisons in the same row layout the paper uses, so the benchmark
+harness output can be read side-by-side with the paper.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.breakdown import OperationBreakdown
 from repro.core.evolution import VersionComparison
-from repro.pablo.records import TABLE_OP_ORDER
+from repro.pablo.records import TABLE_OP_ORDER, IOOp
+from repro.pablo.tracer import OP_CODE
 
 
 def render_breakdown_table(
@@ -107,6 +110,32 @@ def render_comparison(comparison: VersionComparison, title: str = "") -> str:
             f"modes={','.join(comparison.modes_used[v])}"
         )
     return "\n".join(lines)
+
+
+def mode_table_cell(
+    result,
+    phase: str,
+    ops: Sequence[IOOp],
+    all_label: str,
+    suffix: Optional[str] = None,
+) -> str:
+    """One Table 1/4 cell, ``"activity / modes"``: which nodes issued
+    ``ops`` in ``phase`` (on paths ending in ``suffix``, if given) and
+    under which access modes, from the run's trace."""
+    trace = result.trace
+    mask = (trace.column("phase") == phase) & np.isin(
+        trace.column("opcode"), [OP_CODE[op] for op in ops]
+    )
+    if suffix is not None:
+        mask[mask] = [p.endswith(suffix) for p in trace.column("path")[mask]]
+    nodes = np.unique(trace.column("node")[mask])
+    modes = sorted({m for m in trace.column("mode")[mask].tolist() if m})
+    activity = (
+        all_label if len(nodes) > result.n_nodes // 2
+        else "Node zero" if nodes.tolist() == [0]
+        else f"{len(nodes)} nodes"
+    )
+    return f"{activity} / {'+'.join(modes)}"
 
 
 def render_mode_table(

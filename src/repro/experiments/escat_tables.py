@@ -6,6 +6,7 @@ from typing import Dict, Tuple
 
 from repro.core.breakdown import OperationBreakdown, execution_fraction, io_time_breakdown
 from repro.core.report import (
+    mode_table_cell,
     render_breakdown_table,
     render_fraction_table,
     render_mode_table,
@@ -37,19 +38,8 @@ def table1(fast: bool = False) -> Tuple[list, str]:
     for version in ("A", "B", "C"):
         result = escat_result(version, fast=fast)
         for phase, label in phase_names.items():
-            events = [
-                e for e in result.trace.by_phase(phase).events
-                if e.op in (IOOp.READ, IOOp.WRITE, IOOp.SEEK)
-            ]
-            nodes = {e.node for e in events}
-            modes = sorted({e.mode for e in events if e.mode})
-            activity = (
-                "All Nodes" if len(nodes) > result.n_nodes // 2
-                else "Node zero" if nodes == {0}
-                else f"{len(nodes)} nodes"
-            )
-            observed.setdefault(label, {})[version] = (
-                f"{activity} / {'+'.join(modes)}"
+            observed.setdefault(label, {})[version] = mode_table_cell(
+                result, phase, (IOOp.READ, IOOp.WRITE, IOOp.SEEK), "All Nodes"
             )
     for label in ("Phase One", "Phase Two", "Phase Three", "Phase Four"):
         rows.append([

@@ -5,7 +5,11 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.core.breakdown import OperationBreakdown, io_time_breakdown
-from repro.core.report import render_breakdown_table, render_mode_table
+from repro.core.report import (
+    mode_table_cell,
+    render_breakdown_table,
+    render_mode_table,
+)
 from repro.experiments import reference
 from repro.experiments.runner import prism_result
 from repro.pablo import IOOp
@@ -26,20 +30,8 @@ def table4(fast: bool = False) -> Tuple[list, str]:
     for version in ("A", "B", "C"):
         result = prism_result(version, fast=fast)
         for label, phase, fname in phase_files:
-            events = [
-                e for e in result.trace.by_phase(phase).events
-                if e.op in (IOOp.READ, IOOp.WRITE)
-                and (fname is None or e.path.endswith(fname))
-            ]
-            nodes = {e.node for e in events}
-            modes = sorted({e.mode for e in events if e.mode})
-            activity = (
-                "All" if len(nodes) > result.n_nodes // 2
-                else "Node zero" if nodes == {0}
-                else f"{len(nodes)} nodes"
-            )
-            observed.setdefault(label, {})[version] = (
-                f"{activity} / {'+'.join(modes)}"
+            observed.setdefault(label, {})[version] = mode_table_cell(
+                result, phase, (IOOp.READ, IOOp.WRITE), "All", fname
             )
     for label, _, _ in phase_files:
         rows.append([

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.pablo.records import IOEvent
-from repro.pablo.tracer import Trace
+from repro.pablo.tracer import COLUMNS, Trace
 
 
 def filter_events(trace: Trace, predicate: Callable[[IOEvent], bool]) -> Trace:
@@ -40,13 +40,6 @@ def group_by(
     return {k: Trace(v, trace.meta) for k, v in buckets.items()}
 
 
-#: Column order of :meth:`Trace.from_columns`.
-_COLUMNS = (
-    "node", "opcode", "path", "start", "duration", "nbytes", "offset",
-    "mode", "phase",
-)
-
-
 def merge_traces(traces: Iterable[Trace]) -> Trace:
     """Merge several traces into one time-ordered trace.
 
@@ -60,7 +53,7 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
         raise TraceError("cannot merge zero traces")
     merged = [
         np.concatenate([t.column(name) for t in traces])
-        for name in _COLUMNS
+        for name in COLUMNS
     ]
     return Trace.from_columns(
         *merged, meta=traces[0].meta, sort=True, validate=False
@@ -69,7 +62,7 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
 
 def remap_nodes(trace: Trace, offset: int) -> Trace:
     """Shift every event's node id by ``offset`` (pre-merge helper)."""
-    columns = [trace.column(name) for name in _COLUMNS]
+    columns = [trace.column(name) for name in COLUMNS]
     columns[0] = columns[0] + offset
     # A uniform shift cannot change the (start, node) order.
     return Trace.from_columns(

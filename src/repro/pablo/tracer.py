@@ -4,20 +4,24 @@ A :class:`Tracer` collects I/O records as the PFS client emits them.  A
 completed capture is a :class:`Trace` with metadata and convenient
 NumPy views for the analyses.
 
-Storage is *columnar*: a live tracer appends one plain tuple per
-record (no per-record object allocation on the hot path), and a sealed
-trace holds parallel NumPy arrays — one per field — sorted by
-``(start, node)``.  The historical record-object API survives as a
-compatibility view: ``trace.events`` lazily materializes the
-:class:`~repro.pablo.records.IOEvent` list on first access, so every
-object-oriented analysis keeps working unchanged while columnar
-consumers (cdf, temporal, breakdown, reduction, SDDF export) read the
-arrays directly.
+Storage is *columnar*, and every trace is built one way: nine
+parallel NumPy columns handed to :meth:`Trace.from_columns`, which
+sorts them stably by ``(start, node)`` and validates them once.  Live
+capture appends plain row tuples (or one block per bulk append) that
+:func:`columns_from_rows` turns into columns, as it does for
+``Trace(events)``; the SDDF reader parses straight into columns.
+
+Tables 1-5, CDFs, timelines, classification, merges and SDDF export
+read the columns.  The record view (``trace.events``, iteration,
+:meth:`Trace.select`) builds :class:`~repro.pablo.records.IOEvent`
+objects on first use, for tests, tracer extensions and the analyses
+that keep state per stream or key (lifetimes, counters, regions, time
+windows, phase profiles, bandwidth, replay).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +36,16 @@ OP_LIST: List[IOOp] = list(IOOp)
 OP_CODE = {op: code for code, op in enumerate(OP_LIST)}
 _OP_VALUES = [op.value for op in OP_LIST]
 
+#: Column names, in :meth:`Trace.from_columns` order, and their dtypes.
+COLUMNS = (
+    "node", "opcode", "path", "start", "duration", "nbytes", "offset",
+    "mode", "phase",
+)
+_DTYPES = (
+    np.int64, np.int8, object, np.float64, np.float64, np.int64, np.int64,
+    object, object,
+)
+
 
 class Trace:
     """A captured I/O trace: events plus descriptive metadata.
@@ -40,29 +54,13 @@ class Trace:
     classic record view.
     """
 
-    __slots__ = (
-        "meta",
-        "_node",
-        "_opcode",
-        "_path",
-        "_start",
-        "_duration",
-        "_nbytes",
-        "_offset",
-        "_mode",
-        "_phase",
-        "_event_cache",
-    )
+    __slots__ = ("meta", "_event_cache") + tuple("_" + c for c in COLUMNS)
 
     def __init__(
         self, events: Iterable[IOEvent], meta: Optional[TraceMeta] = None
     ) -> None:
-        ordered = sorted(events, key=lambda e: (e.start, e.node))
-        for e in ordered:
-            e.validate()
-        self.meta = meta or TraceMeta()
-        self._set_columns(*_columns_from_events(ordered))
-        self._event_cache: Optional[List[IOEvent]] = ordered
+        rows = [_row(e) for e in events]
+        self._seal(columns_from_rows(rows), meta, sort=True, validate=True)
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -87,51 +85,32 @@ class Trace:
         ordered (e.g. a mask applied to a sorted trace).
         """
         trace = cls.__new__(cls)
-        trace.meta = meta or TraceMeta()
-        if sort and len(start) > 1:
-            # Stable, so ties preserve append order like sorted() did.
-            order = np.lexsort((node, start))
-            node = node[order]
-            opcode = opcode[order]
-            path = path[order]
-            start = start[order]
-            duration = duration[order]
-            nbytes = nbytes[order]
-            offset = offset[order]
-            mode = mode[order]
-            phase = phase[order]
-        trace._set_columns(
-            node, opcode, path, start, duration, nbytes, offset, mode, phase
+        trace._seal(
+            [node, opcode, path, start, duration, nbytes, offset, mode,
+             phase],
+            meta, sort, validate,
         )
-        trace._event_cache = None
-        if validate:
-            trace._validate_columns()
         return trace
 
-    def _set_columns(
-        self, node, opcode, path, start, duration, nbytes, offset, mode, phase
-    ) -> None:
-        self._node = node
-        self._opcode = opcode
-        self._path = path
-        self._start = start
-        self._duration = duration
-        self._nbytes = nbytes
-        self._offset = offset
-        self._mode = mode
-        self._phase = phase
+    def _seal(self, columns, meta, sort: bool, validate: bool) -> None:
+        self.meta = meta or TraceMeta()
+        if sort and len(columns[0]) > 1:
+            # Stable, so ties keep append order.
+            order = np.lexsort((columns[0], columns[3]))
+            columns = [column[order] for column in columns]
+        for name, column in zip(COLUMNS, columns):
+            setattr(self, "_" + name, column)
+        self._event_cache: Optional[List[IOEvent]] = None
+        if validate:
+            bad = (self._duration < 0) | (self._nbytes < 0) | (self._node < 0)
+            if bad.any():
+                # Build just the first offender in trace order, so the
+                # error is that record's own validate() message.
+                first = int(np.argmax(bad))
+                self._masked(slice(first, first + 1)).events[0].validate()
 
-    def _validate_columns(self) -> None:
-        for column, label in (
-            (self._duration, "duration"),
-            (self._nbytes, "nbytes"),
-            (self._node, "node"),
-        ):
-            if len(column) and (column < 0).any():
-                # Materialize just the first offender so the error
-                # message matches the per-record validate() exactly.
-                index = int(np.argmax(column < 0))
-                self._event_at(index).validate()
+    def _columns(self) -> List[np.ndarray]:
+        return [getattr(self, "_" + name) for name in COLUMNS]
 
     # -- record view -------------------------------------------------------
     @property
@@ -150,48 +129,15 @@ class Trace:
             IOEvent(node, ops[code], path, start, duration, nbytes, offset,
                     mode, phase)
             for node, code, path, start, duration, nbytes, offset, mode, phase
-            in zip(
-                self._node.tolist(),
-                self._opcode.tolist(),
-                self._path.tolist(),
-                self._start.tolist(),
-                self._duration.tolist(),
-                self._nbytes.tolist(),
-                self._offset.tolist(),
-                self._mode.tolist(),
-                self._phase.tolist(),
-            )
+            in zip(*(column.tolist() for column in self._columns()))
         ]
-
-    def _event_at(self, index: int) -> IOEvent:
-        return IOEvent(
-            int(self._node[index]),
-            OP_LIST[int(self._opcode[index])],
-            self._path[index],
-            float(self._start[index]),
-            float(self._duration[index]),
-            int(self._nbytes[index]),
-            int(self._offset[index]),
-            self._mode[index],
-            self._phase[index],
-        )
 
     def export_rows(self) -> Iterator[Tuple]:
         """Per-record ``(node, op_value, path, start, duration, nbytes,
         offset, mode, phase)`` tuples with Python scalar types, in trace
         order — the SDDF writer's columnar fast path."""
-        values = _OP_VALUES
-        return zip(
-            self._node.tolist(),
-            (values[code] for code in self._opcode.tolist()),
-            self._path.tolist(),
-            self._start.tolist(),
-            self._duration.tolist(),
-            self._nbytes.tolist(),
-            self._offset.tolist(),
-            self._mode.tolist(),
-            self._phase.tolist(),
-        )
+        node, code, *rest = [column.tolist() for column in self._columns()]
+        return zip(node, map(_OP_VALUES.__getitem__, code), *rest)
 
     def __len__(self) -> int:
         return len(self._start)
@@ -233,20 +179,11 @@ class Trace:
         )
         return self._masked(mask)
 
-    def _masked(self, mask: np.ndarray) -> "Trace":
+    def _masked(self, mask) -> "Trace":
+        """The sub-trace at a boolean mask or slice (order is kept)."""
         return Trace.from_columns(
-            self._node[mask],
-            self._opcode[mask],
-            self._path[mask],
-            self._start[mask],
-            self._duration[mask],
-            self._nbytes[mask],
-            self._offset[mask],
-            self._mode[mask],
-            self._phase[mask],
-            meta=self.meta,
-            sort=False,
-            validate=False,
+            *[column[mask] for column in self._columns()],
+            meta=self.meta, sort=False, validate=False,
         )
 
     def op_mask(self, op: IOOp) -> np.ndarray:
@@ -285,6 +222,10 @@ class Trace:
     def paths(self) -> List[str]:
         return sorted({p for p in self._path.tolist() if p})
 
+    def modes(self) -> List[str]:
+        """The access modes the trace exercises, sorted."""
+        return sorted({m for m in self._mode.tolist() if m})
+
     def __repr__(self) -> str:
         return (
             f"<Trace {len(self)} events "
@@ -292,26 +233,36 @@ class Trace:
         )
 
 
-def _columns_from_events(events: List[IOEvent]) -> Tuple[np.ndarray, ...]:
-    n = len(events)
-    node = np.fromiter((e.node for e in events), dtype=np.int64, count=n)
-    opcode = np.fromiter(
-        (OP_CODE[e.op] for e in events), dtype=np.int8, count=n
-    )
-    start = np.fromiter((e.start for e in events), dtype=np.float64, count=n)
-    duration = np.fromiter(
-        (e.duration for e in events), dtype=np.float64, count=n
-    )
-    nbytes = np.fromiter((e.nbytes for e in events), dtype=np.int64, count=n)
-    offset = np.fromiter((e.offset for e in events), dtype=np.int64, count=n)
-    path = np.empty(n, dtype=object)
-    mode = np.empty(n, dtype=object)
-    phase = np.empty(n, dtype=object)
-    for i, e in enumerate(events):
-        path[i] = e.path
-        mode[i] = e.mode
-        phase[i] = e.phase
-    return node, opcode, path, start, duration, nbytes, offset, mode, phase
+def columns_from_rows(rows: Sequence[Tuple]) -> List[np.ndarray]:
+    """The nine trace columns of ``(node, op, path, start, duration,
+    nbytes, offset, mode, phase)`` row tuples, in row order."""
+    if not rows:
+        return [np.empty(0, dtype=dtype) for dtype in _DTYPES]
+    node, op, path, start, duration, nbytes, offset, mode, phase = zip(*rows)
+    return [
+        np.array(node, dtype=np.int64),
+        np.fromiter((OP_CODE[o] for o in op), dtype=np.int8, count=len(rows)),
+        np.array(path, dtype=object),
+        np.array(start, dtype=np.float64),
+        np.array(duration, dtype=np.float64),
+        np.array(nbytes, dtype=np.int64),
+        np.array(offset, dtype=np.int64),
+        np.array(mode, dtype=object),
+        np.array(phase, dtype=object),
+    ]
+
+
+def _row(e: IOEvent) -> Tuple:
+    return (e.node, e.op, e.path, e.start, e.duration, e.nbytes, e.offset,
+            e.mode, e.phase)
+
+
+def filled_column(value, n: int, dtype) -> np.ndarray:
+    """A column of ``n`` copies of ``value`` (one shared object in an
+    object column)."""
+    column = np.empty(n, dtype=dtype)
+    column[:] = value
+    return column
 
 
 class _ColumnBlock:
@@ -319,7 +270,7 @@ class _ColumnBlock:
 
     The per-record fields (``starts``/``durations``/``nbytes``/
     ``offsets``) are plain Python lists; :meth:`Tracer.finish` expands
-    the block into column chunks.  A block occupies a single slot in
+    the block into a column chunk.  A block occupies a single slot in
     the tracer's row list, so relative order with neighbouring
     per-record tuples (and therefore per-node append order, the sort
     tie-breaker) is preserved.
@@ -345,6 +296,20 @@ class _ColumnBlock:
 
     def __len__(self) -> int:
         return len(self.starts)
+
+    def columns(self) -> List[np.ndarray]:
+        m = len(self.starts)
+        return [
+            filled_column(self.node, m, np.int64),
+            filled_column(OP_CODE[self.op], m, np.int8),
+            filled_column(self.path, m, object),
+            np.array(self.starts, dtype=np.float64),
+            np.array(self.durations, dtype=np.float64),
+            np.array(self.nbytes, dtype=np.int64),
+            np.array(self.offsets, dtype=np.int64),
+            filled_column(self.mode, m, object),
+            filled_column(self.phase, m, object),
+        ]
 
 
 class Tracer:
@@ -381,10 +346,7 @@ class Tracer:
             return
         for fn in self._extensions:
             fn(event)
-        self._rows.append(
-            (event.node, event.op, event.path, event.start, event.duration,
-             event.nbytes, event.offset, event.mode, event.phase)
-        )
+        self._rows.append(_row(event))
 
     def record_fields(
         self,
@@ -402,16 +364,9 @@ class Tracer:
         if not self._enabled:
             return
         if self._extensions:
-            event = IOEvent(
+            self.record(IOEvent(
                 node, op, path, start, duration, nbytes, offset, mode, phase
-            )
-            for fn in self._extensions:
-                fn(event)
-            self._rows.append(
-                (event.node, event.op, event.path, event.start,
-                 event.duration, event.nbytes, event.offset, event.mode,
-                 event.phase)
-            )
+            ))
             return
         self._rows.append(
             (node, op, path, start, duration, nbytes, offset, mode, phase)
@@ -474,91 +429,27 @@ class Tracer:
         return len(self._rows) + self._block_extra
 
     def finish(self) -> Trace:
-        """Seal the capture into an analyzable :class:`Trace`."""
-        rows = self._rows
-        if not rows:
-            return Trace([], self.meta)
-        if self._block_extra or any(
-            type(row) is _ColumnBlock for row in rows
-        ):
-            return self._finish_blocks()
-        node, op, path, start, duration, nbytes, offset, mode, phase = (
-            zip(*rows)
-        )
-        n = len(rows)
-        return Trace.from_columns(
-            np.array(node, dtype=np.int64),
-            np.fromiter((OP_CODE[o] for o in op), dtype=np.int8, count=n),
-            np.array(path, dtype=object),
-            np.array(start, dtype=np.float64),
-            np.array(duration, dtype=np.float64),
-            np.array(nbytes, dtype=np.int64),
-            np.array(offset, dtype=np.int64),
-            np.array(mode, dtype=object),
-            np.array(phase, dtype=object),
-            meta=self.meta,
-        )
+        """Seal the capture into an analyzable :class:`Trace`.
 
-    def _finish_blocks(self) -> Trace:
-        """Column build over a row list that mixes tuples and blocks.
-
-        Consecutive tuple runs become one chunk each; every block is a
-        chunk of constant scalar fields.  The chunks concatenate into
-        the same columns a per-record capture would have produced
-        (order within each node is preserved, which is all the stable
-        ``(start, node)`` sort keys on).
+        Each run of per-record tuples becomes one column chunk and each
+        bulk block another.  The chunks concatenate in append order,
+        which keeps per-node order: all the stable ``(start, node)``
+        sort needs to break ties as a per-record capture would.
         """
         rows = self._rows
-        n_rows = len(rows)
-        parts: List[Tuple[np.ndarray, ...]] = []
-        i = 0
-        while i < n_rows:
-            row = rows[i]
-            if type(row) is _ColumnBlock:
-                m = len(row.starts)
-                path_col = np.empty(m, dtype=object)
-                path_col[:] = row.path
-                mode_col = np.empty(m, dtype=object)
-                mode_col[:] = row.mode
-                phase_col = np.empty(m, dtype=object)
-                phase_col[:] = row.phase
-                parts.append((
-                    np.full(m, row.node, dtype=np.int64),
-                    np.full(m, OP_CODE[row.op], dtype=np.int8),
-                    path_col,
-                    np.array(row.starts, dtype=np.float64),
-                    np.array(row.durations, dtype=np.float64),
-                    np.array(row.nbytes, dtype=np.int64),
-                    np.array(row.offsets, dtype=np.int64),
-                    mode_col,
-                    phase_col,
-                ))
-                i += 1
-                continue
-            j = i + 1
-            while j < n_rows and type(rows[j]) is not _ColumnBlock:
-                j += 1
-            chunk = rows[i:j]
-            node, op, path, start, duration, nbytes, offset, mode, phase = (
-                zip(*chunk)
-            )
-            m = len(chunk)
-            parts.append((
-                np.array(node, dtype=np.int64),
-                np.fromiter(
-                    (OP_CODE[o] for o in op), dtype=np.int8, count=m
-                ),
-                np.array(path, dtype=object),
-                np.array(start, dtype=np.float64),
-                np.array(duration, dtype=np.float64),
-                np.array(nbytes, dtype=np.int64),
-                np.array(offset, dtype=np.int64),
-                np.array(mode, dtype=object),
-                np.array(phase, dtype=object),
-            ))
-            i = j
-        columns = tuple(
-            np.concatenate([part[k] for part in parts]) for k in range(9)
+        chunks = []
+        begin = 0
+        for end in [i for i, row in enumerate(rows)
+                    if type(row) is _ColumnBlock]:
+            if end > begin:
+                chunks.append(columns_from_rows(rows[begin:end]))
+            chunks.append(rows[end].columns())
+            begin = end + 1
+        if begin < len(rows) or not chunks:
+            chunks.append(columns_from_rows(rows[begin:]))
+        columns = (
+            chunks[0] if len(chunks) == 1
+            else [np.concatenate(parts) for parts in zip(*chunks)]
         )
         return Trace.from_columns(*columns, meta=self.meta)
 

@@ -22,6 +22,7 @@ from repro.pablo import (
     write_sddf,
 )
 from repro.pablo.sddf import roundtrip
+from repro.pablo.tracer import columns_from_rows
 
 
 def ev(node=0, op=IOOp.READ, path="/f", start=0.0, duration=0.01,
@@ -156,6 +157,75 @@ def test_sddf_file_roundtrip(tmp_path):
     write_sddf(trace, path)
     back = read_sddf(path)
     assert len(back) == 1
+
+
+def test_sddf_file_roundtrip_keeps_carriage_returns(tmp_path):
+    # The writer leaves "\r" unescaped, so the reader must end records
+    # at "\n" only; a CRLF file then fails the magic-line check.
+    path = tmp_path / "trace.sddf"
+    trace = Trace([ev(path="/a\rb", mode="M_\rUNIX", phase="\rp1\r"),
+                   ev(start=1.0)])
+    write_sddf(trace, path)
+    back = read_sddf(path)
+    assert [(e.path, e.mode, e.phase) for e in back.events] == [
+        ("/a\rb", "M_\rUNIX", "\rp1\r"), ("/f", "M_UNIX", "p1"),
+    ]
+    crlf = tmp_path / "crlf.sddf"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with pytest.raises(TraceError):
+        read_sddf(crlf)
+
+
+_MINIMAL = "node:int op:str path:str start:float duration:float"
+
+
+@pytest.mark.parametrize("descriptor, record", [
+    pytest.param(_MINIMAL + " color:str", "0\tread\t/f\t0.0\t1.0\tred",
+                 id="unknown-field"),
+    pytest.param("op:str path:str start:float duration:float",
+                 "read\t/f\t0.0\t1.0", id="missing-node"),
+    pytest.param(_MINIMAL.replace("node:int", "node:float"),
+                 "0\tread\t/f\t0.0\t1.0", id="wrong-type"),
+    pytest.param(_MINIMAL, "0\tfetch\t/f\t0.0\t1.0", id="unknown-op"),
+    pytest.param(_MINIMAL, "0\tread\t/f\tsoon\t1.0", id="bad-float"),
+    pytest.param(_MINIMAL, "zero\tread\t/f\t0.0\t1.0", id="bad-int"),
+    pytest.param(_MINIMAL, f"{1 << 64}\tread\t/f\t0.0\t1.0",
+                 id="int-overflow"),
+])
+def test_sddf_malformed_input_raises_trace_error(descriptor, record):
+    text = f"#SDDF-IO 1\n#record IOEvent {descriptor}\n#data\n{record}\n"
+    with pytest.raises(TraceError):
+        read_sddf(io.StringIO(text))
+
+
+def test_sddf_omitted_fields_take_record_defaults():
+    text = f"#SDDF-IO 1\n#record IOEvent {_MINIMAL}\n#data\n" \
+        "3\twrite\t/f\t0.5\t0.25\n"
+    (event,) = read_sddf(io.StringIO(text)).events
+    assert event == IOEvent(3, IOOp.WRITE, "/f", 0.5, 0.25)
+
+
+@pytest.mark.parametrize(
+    "route", ["Trace(events)", "Tracer.finish", "Trace.from_columns"]
+)
+def test_construction_routes_name_the_first_bad_record(route):
+    # Trace order puts the negative-node record first, so every route
+    # raises its validate() message, not the later negative duration.
+    records = [ev(node=-1, start=0.0), ev(start=1.0, duration=-0.5)]
+    rows = [(e.node, e.op, e.path, e.start, e.duration, e.nbytes, e.offset,
+             e.mode, e.phase) for e in records]
+    tracer = Tracer()
+    for row in rows:
+        tracer.record_fields(*row)
+    build = {
+        "Trace(events)": lambda: Trace(records),
+        "Tracer.finish": tracer.finish,
+        "Trace.from_columns": lambda: Trace.from_columns(
+            *columns_from_rows(rows)
+        ),
+    }[route]
+    with pytest.raises(ValueError, match=r"negative node in IOEvent\(node=-1"):
+        build()
 
 
 # ---------------------------------------------------------------- lifetime

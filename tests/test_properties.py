@@ -8,19 +8,25 @@ reference model or a mathematical invariant:
 - SizeCDF monotonicity/normalization;
 - tile_sizes conservation;
 - SDDF round-trip fidelity;
+- trace construction routes (records, per-record and bulk capture,
+  SDDF files) agreeing column for column;
 - TurnTaker service order;
 - ReadBuffer coherence.
 """
 
 import io
+import itertools
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.base import tile_sizes
 from repro.core.cdf import cdf_from_sizes
-from repro.pablo import IOEvent, IOOp, Trace
+from repro.pablo import IOEvent, IOOp, Trace, Tracer
 from repro.pablo.sddf import read_sddf, write_sddf
+from repro.pablo.tracer import COLUMNS
 from repro.pfs import ExtentMap, StripeLayout
 
 
@@ -218,6 +224,51 @@ def test_sddf_roundtrip_property(events):
         assert a.start == b.start and a.duration == b.duration
         assert a.nbytes == b.nbytes and a.offset == b.offset
         assert a.mode == b.mode and a.phase == b.phase
+
+
+@st.composite
+def tied_event_lists(draw):
+    """Events where some re-use an earlier ``(start, node)`` pair, so
+    the trace sort has ties to keep in append order."""
+    events = draw(st.lists(trace_events(), max_size=40))
+    for i in range(1, len(events)):
+        if draw(st.booleans()):
+            earlier = events[draw(st.integers(0, i - 1))]
+            events[i].start, events[i].node = earlier.start, earlier.node
+    return events
+
+
+@given(tied_event_lists())
+@settings(max_examples=100, deadline=None)
+def test_construction_routes_build_identical_columns(events):
+    per_record = Tracer()
+    for e in events:
+        per_record.record_fields(e.node, e.op, e.path, e.start, e.duration,
+                                 e.nbytes, e.offset, e.mode, e.phase)
+    bulk = Tracer()
+    runs = itertools.groupby(
+        events, key=lambda e: (e.node, e.op, e.path, e.mode, e.phase)
+    )
+    for (node, op, path, mode, phase), run in runs:
+        run = list(run)
+        bulk.record_columns(node, op, path, mode, phase,
+                            [e.start for e in run], [e.duration for e in run],
+                            [e.nbytes for e in run], [e.offset for e in run])
+    reference = Trace(events)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.sddf")
+        write_sddf(reference, path)
+        reread = read_sddf(path)
+    # Stable: tied records keep their append order.
+    assert reference.events == sorted(events, key=lambda e: (e.start, e.node))
+    for trace in (per_record.finish(), bulk.finish(), reread):
+        for name in COLUMNS:
+            want, got = reference.column(name), trace.column(name)
+            assert got.dtype == want.dtype, name
+            if want.dtype == object:
+                assert got.tolist() == want.tolist(), name
+            else:
+                assert got.tobytes() == want.tobytes(), name
 
 
 # ------------------------------------------------------------- TurnTaker
