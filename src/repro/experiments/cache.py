@@ -3,11 +3,12 @@
 Every experiment, table, and figure derives from a handful of
 deterministic simulations; re-running ``repro validate`` or the bench
 suite repeats them from scratch.  This module persists each completed
-:class:`~repro.apps.base.AppRunResult` as an SDDF trace plus a JSON
-sidecar under ``~/.cache/repro/`` keyed by a SHA-256 fingerprint of
-everything the run depends on: application kind, version (and the full
-version-object fields for progression builds), problem dataset,
-machine and cost-model calibration, seed, scale, and a cache epoch.
+:class:`~repro.apps.base.AppRunResult` as an SDDF trace, a binary
+column file and a JSON sidecar under ``~/.cache/repro/`` keyed by a
+SHA-256 fingerprint of everything the run depends on: application
+kind, version (and the full version-object fields for progression
+builds), problem dataset, machine and cost-model calibration, seed,
+scale, and a cache epoch.
 
 Determinism makes this sound: a cache hit yields the *byte-identical*
 SDDF trace a fresh run would produce (the SDDF float fields are
@@ -16,19 +17,36 @@ exactly — asserted by the regression tests.
 
 Layout::
 
-    ~/.cache/repro/<key[:2]>/<key>.sddf   # the trace
-    ~/.cache/repro/<key[:2]>/<key>.json   # run metadata (commit marker)
+    ~/.cache/repro/<key[:2]>/<key>.sddf       # the trace (interchange)
+    ~/.cache/repro/<key[:2]>/<key>.cols.npz   # its columns, binary
+    ~/.cache/repro/<key[:2]>/<key>.json       # run metadata (commit marker)
 
-Writes are atomic (temp file + ``os.replace``) and the JSON sidecar is
-written last, so a torn write can never produce a loadable entry.
+:func:`store` writes them in that order, each atomically (temp file +
+``os.replace``), so a torn write can never produce a loadable entry.
+The sidecar records the SDDF file's byte length and SHA-256; the
+column file (:mod:`repro.pablo.colfile`) names the SHA-256 of the SDDF
+it was derived from.  :func:`load` checks the SDDF length against the
+sidecar, then builds the trace from the column file when its version
+and SHA-256 match the sidecar's, its dtypes and lengths are right and
+its string codes index their tables.  Otherwise it parses the SDDF,
+the source of truth, and when that fails too it quarantines the
+entry.  Either trace must have the sidecar's event count.
+:func:`stored_sddf`, which serves ``GET /v1/runs/<id>/result``, returns
+the SDDF bytes as stored after checking their length and SHA-256.
+
 The cache is size-capped: after every store, least-recently-used
-entries are evicted until the total footprint fits under
-``REPRO_CACHE_MAX_BYTES`` (default 2 GiB; ``0`` or negative disables
-the cap).  Recency is the sidecar mtime, refreshed on every hit;
-eviction removes the sidecar first, so an interrupted eviction leaves
-at worst an orphaned trace file that can never load as a stale entry.
-Environment knobs: ``REPRO_CACHE=0`` disables the cache entirely;
-``REPRO_CACHE_DIR`` relocates it.
+entries are evicted until the total footprint of all three files fits
+under ``REPRO_CACHE_MAX_BYTES`` (default 2 GiB; ``0`` or negative
+disables the cap).  Recency is the sidecar mtime, refreshed on every
+hit; eviction removes the sidecar first, so an interrupted eviction
+leaves at worst orphaned trace files that can never load as a stale
+entry.  Environment knobs: ``REPRO_CACHE=0`` disables the cache
+entirely; ``REPRO_CACHE_DIR`` relocates it.
+
+``CACHE_EPOCH`` is 2 since entries gained the column file and the
+sidecar's SDDF length and SHA-256.  Entries written before have
+neither; the bump makes them unreachable, so no reader keeps an
+old-format branch, and LRU eviction removes them over time.
 """
 
 from __future__ import annotations
@@ -43,12 +61,16 @@ from typing import Optional
 
 from repro import flags
 from repro.apps.base import AppRunResult
+from repro.pablo.colfile import read_columns, write_columns
 from repro.pablo.sddf import read_sddf, write_sddf
+from repro.pablo.tracer import Trace
 
 #: Bump this whenever simulator behaviour changes in a way the key
-#: fields cannot see (e.g. a PFS scheduling fix): it invalidates every
-#: previously cached run at once.
-CACHE_EPOCH = 1
+#: fields cannot see (e.g. a PFS scheduling fix), or the entry layout
+#: changes: it invalidates every previously cached run at once.  2:
+#: entries gained the column file and the sidecar's ``sddf_bytes`` and
+#: ``sddf_sha256``, which epoch-1 entries lack.
+CACHE_EPOCH = 2
 
 
 #: Default size cap for the on-disk run cache (2 GiB).
@@ -57,6 +79,9 @@ DEFAULT_CACHE_MAX_BYTES = 2 * 1024**3
 #: Name of the statistics sidecar at the cache root.  It is *not* an
 #: entry: the eviction and stats scans skip it by name.
 STATS_NAME = "STATS.json"
+
+#: Sidecar fields every reader relies on.
+_RECORD_KEYS = ("events", "sddf_bytes", "sddf_sha256")
 
 #: Counter keys tracked both in-process and in the sidecar.
 _STAT_KEYS = ("hits", "misses", "stores", "evictions", "quarantined")
@@ -128,10 +153,7 @@ def stats() -> dict:
             if meta_path.name == STATS_NAME:
                 continue
             try:
-                size = meta_path.stat().st_size
-                trace_path = meta_path.with_suffix(".sddf")
-                if trace_path.exists():
-                    size += trace_path.stat().st_size
+                size = _entry_size(meta_path)
             except OSError:
                 continue
             entries += 1
@@ -208,95 +230,168 @@ def _paths(key: str) -> tuple:
     return base / f"{key}.sddf", base / f"{key}.json"
 
 
+def _columns_path(path: Path) -> Path:
+    """The column file of the entry that ``path`` (its SDDF file or
+    sidecar) belongs to."""
+    return path.with_suffix(".cols.npz")
+
+
+def _entry_files(meta_path: Path) -> tuple:
+    """An entry's files, sidecar first (the order eviction unlinks)."""
+    trace_path = meta_path.with_suffix(".sddf")
+    return meta_path, trace_path, _columns_path(trace_path)
+
+
+def _entry_size(meta_path: Path) -> int:
+    """Bytes of an entry's files; raises ``OSError`` without a sidecar."""
+    size = meta_path.stat().st_size
+    for path in _entry_files(meta_path)[1:]:
+        try:
+            size += path.stat().st_size
+        except FileNotFoundError:
+            pass
+    return size
+
+
+def _sidecar(trace_path: Path, meta_path: Path) -> dict:
+    """The run record of an entry whose SDDF file has the recorded
+    length.
+
+    Raises ``OSError`` when a file is missing or unreadable and
+    ``ValueError`` when the sidecar is not a run record of this layout
+    or the SDDF file's length differs from it.  A truncated trace can
+    still parse as a shorter (even empty) valid SDDF stream; the length
+    catches it without reading the file.
+    """
+    meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict) or any(k not in meta for k in _RECORD_KEYS):
+        raise ValueError("sidecar is not a run record")
+    size = trace_path.stat().st_size
+    if size != meta["sddf_bytes"]:
+        raise ValueError(
+            f"trace has {size} bytes, sidecar says {meta['sddf_bytes']}"
+        )
+    return meta
+
+
+def _hit(meta_path: Path) -> None:
+    """Count a hit and refresh the entry's LRU recency."""
+    try:
+        os.utime(meta_path)
+    except OSError:
+        pass
+    _bump(hits=1)
+
+
+def _miss(meta_path: Path) -> None:
+    """Count a miss, quarantining whatever files of the entry exist: a
+    defective entry, or the orphans a torn write left behind."""
+    if any(path.exists() for path in _entry_files(meta_path)):
+        _quarantine(meta_path)
+        _bump(misses=1, quarantined=1)
+    else:
+        _bump(misses=1)
+
+
 def load(key: str) -> Optional[AppRunResult]:
     """The cached run for ``key``, or ``None`` on any miss/corruption.
 
     Any defect — truncated trace, unparsable sidecar, missing sidecar
-    next to an orphaned trace — is treated as a miss, and the broken
-    entry is *quarantined* (both files unlinked) so the fresh run that
-    follows can overwrite it cleanly and the defect cannot recur.
+    next to orphaned trace files — is treated as a miss, and the broken
+    entry is *quarantined* (its files unlinked) so the fresh run that
+    follows can overwrite it cleanly and the defect cannot recur.  A
+    missing or rejected column file is not a defect: the trace is then
+    parsed from the SDDF file.
     """
     if not cache_enabled():
         return None
     trace_path, meta_path = _paths(key)
-    if not meta_path.exists():
-        # No commit marker: a plain miss, or a torn write that left an
-        # orphaned trace behind.  Quarantine the orphan.
-        if trace_path.exists():
-            _quarantine(trace_path, meta_path)
-            _bump(misses=1, quarantined=1)
-        else:
-            _bump(misses=1)
-        return None
     try:
-        meta = json.loads(meta_path.read_text())
-        trace = read_sddf(trace_path)
-        if len(trace) != meta["events"]:
-            # A truncated trace can still parse as a shorter (even
-            # empty) valid SDDF stream; the sidecar's event count is
-            # the integrity check that catches it.
-            raise ValueError(
-                f"trace has {len(trace)} events, sidecar says "
-                f"{meta['events']}"
-            )
-        try:
-            os.utime(meta_path)  # refresh LRU recency on hit
-        except OSError:
-            pass
-        _bump(hits=1)
-        return AppRunResult(
-            application=meta["application"],
-            version=meta["version"],
-            dataset=meta["dataset"],
-            n_nodes=meta["n_nodes"],
-            trace=trace,
-            wall_time=meta["wall_time"],
-            fault_summary=meta.get("fault_summary"),
-        )
+        meta = _sidecar(trace_path, meta_path)
+        trace = _read_trace(trace_path, meta)
     except Exception:
         # Corrupt or truncated entry (whatever the failure mode — a
         # cache defect must never crash an experiment run): miss.
-        _quarantine(trace_path, meta_path)
-        _bump(misses=1, quarantined=1)
+        _miss(meta_path)
         return None
+    _hit(meta_path)
+    return AppRunResult(
+        application=meta["application"],
+        version=meta["version"],
+        dataset=meta["dataset"],
+        n_nodes=meta["n_nodes"],
+        trace=trace,
+        wall_time=meta["wall_time"],
+        fault_summary=meta.get("fault_summary"),
+    )
+
+
+def _read_trace(trace_path: Path, meta: dict) -> Trace:
+    """The entry's trace, from its column file when that file matches
+    the sidecar, else parsed from the SDDF file."""
+    try:
+        trace = read_columns(_columns_path(trace_path), meta["sddf_sha256"])
+    except Exception:
+        # Missing, corrupt or stale: the column file is derived from
+        # the SDDF file, which stays the source of truth.
+        trace = read_sddf(trace_path)
+    if len(trace) != meta["events"]:
+        raise ValueError(
+            f"trace has {len(trace)} events, sidecar says {meta['events']}"
+        )
+    return trace
 
 
 def peek(key: str) -> Optional[dict]:
-    """The sidecar metadata for ``key`` without parsing the trace.
+    """The sidecar metadata for ``key`` without reading the trace.
 
     This is the serve layer's hot path: answering a repeat query needs
     only the run summary (the trace stays on disk until a result body
     is actually requested), so a hit costs one small JSON read instead
-    of a full SDDF parse.  Counts as a cache lookup (hit/miss) and
-    refreshes LRU recency like :func:`load`; unlike :func:`load` it
-    never quarantines — a suspect entry is simply reported as a miss
-    and left for the next full load to judge.
+    of a trace load.  Counts as a cache lookup (hit/miss) and refreshes
+    LRU recency like :func:`load`; unlike :func:`load` it never
+    quarantines — a suspect entry is simply reported as a miss and
+    left for the next full load to judge.
     """
     if not cache_enabled():
         return None
     trace_path, meta_path = _paths(key)
     try:
-        meta = json.loads(meta_path.read_text())
-        if not isinstance(meta, dict) or "events" not in meta:
-            raise ValueError("sidecar is not a run record")
+        meta = _sidecar(trace_path, meta_path)
     except (OSError, ValueError):
         _bump(misses=1)
         return None
-    if not trace_path.exists():
-        # Sidecar without its trace: unloadable, so not a hit.
-        _bump(misses=1)
-        return None
-    try:
-        os.utime(meta_path)  # refresh LRU recency on hit
-    except OSError:
-        pass
-    _bump(hits=1)
+    _hit(meta_path)
     return meta
 
 
-def _quarantine(trace_path: Path, meta_path: Path) -> None:
+def stored_sddf(key: str) -> Optional[bytes]:
+    """The SDDF bytes stored for ``key``, exactly as written, or
+    ``None`` on a miss.
+
+    The bytes must have the sidecar's length and SHA-256; an entry
+    whose bytes do not is quarantined like a defect :func:`load`
+    finds.  Counts as a lookup and refreshes LRU recency like
+    :func:`load`.
+    """
+    if not cache_enabled():
+        return None
+    trace_path, meta_path = _paths(key)
+    try:
+        meta = _sidecar(trace_path, meta_path)
+        data = trace_path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != meta["sddf_sha256"]:
+            raise ValueError("trace bytes differ from the sidecar's digest")
+    except (OSError, ValueError):
+        _miss(meta_path)
+        return None
+    _hit(meta_path)
+    return data
+
+
+def _quarantine(meta_path: Path) -> None:
     """Unlink a broken entry's files; never raises."""
-    for path in (meta_path, trace_path):
+    for path in _entry_files(meta_path):
         try:
             path.unlink()
         except OSError:
@@ -325,11 +420,29 @@ def store(key: str, result: AppRunResult) -> None:
     try:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(trace_path, lambda f: write_sddf(result.trace, f))
+        meta["sddf_bytes"], meta["sddf_sha256"] = _file_digest(trace_path)
+        _atomic_write(
+            _columns_path(trace_path),
+            lambda f: write_columns(result.trace, f, meta["sddf_sha256"]),
+            binary=True,
+        )
         _atomic_write(meta_path, lambda f: json.dump(meta, f))
     except OSError:
         return
     _bump(stores=1)
     evict(keep_key=key)
+
+
+def _file_digest(path: Path) -> tuple:
+    """``(byte length, SHA-256 hex digest)`` of the file at ``path``,
+    read back in chunks so a large trace is never held twice."""
+    digest = hashlib.sha256()
+    size = 0
+    with open(path, "rb") as stream:
+        for block in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(block)
+            size += len(block)
+    return size, digest.hexdigest()
 
 
 def evict(keep_key: str = "") -> int:
@@ -338,9 +451,9 @@ def evict(keep_key: str = "") -> int:
 
     ``keep_key`` (typically the entry just stored) is never evicted —
     a single over-cap run should still be cached for its next use.
-    The sidecar is unlinked before the trace, so a crash mid-eviction
-    can only leave an orphaned (unloadable) trace file, never a
-    loadable half-entry.
+    The sidecar is unlinked before the trace files, so a crash
+    mid-eviction can only leave orphaned (unloadable) trace files,
+    never a loadable half-entry.
     """
     cap = cache_max_bytes()
     if cap <= 0:
@@ -353,22 +466,18 @@ def evict(keep_key: str = "") -> int:
     for meta_path in root.rglob("*.json"):
         if meta_path.name == STATS_NAME:
             continue
-        trace_path = meta_path.with_suffix(".sddf")
         try:
-            stat = meta_path.stat()
-            size = stat.st_size
-            if trace_path.exists():
-                size += trace_path.stat().st_size
+            mtime = meta_path.stat().st_mtime
+            size = _entry_size(meta_path)
         except OSError:
             continue
         total += size
-        entries.append((stat.st_mtime, meta_path.stem, meta_path,
-                        trace_path, size))
+        entries.append((mtime, meta_path.stem, meta_path, size))
     if total <= cap:
         return 0
     entries.sort()
     removed = 0
-    for _mtime, key, meta_path, trace_path, size in entries:
+    for _mtime, key, meta_path, size in entries:
         if total <= cap:
             break
         if key == keep_key:
@@ -377,10 +486,11 @@ def evict(keep_key: str = "") -> int:
             meta_path.unlink()
         except OSError:
             continue
-        try:
-            trace_path.unlink()
-        except OSError:
-            pass
+        for path in _entry_files(meta_path)[1:]:
+            try:
+                path.unlink()
+            except OSError:
+                pass
         total -= size
         removed += 1
     if removed:
@@ -388,12 +498,12 @@ def evict(keep_key: str = "") -> int:
     return removed
 
 
-def _atomic_write(path: Path, writer) -> None:
+def _atomic_write(path: Path, writer, binary: bool = False) -> None:
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent), prefix=path.name, suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w") as stream:
+        with os.fdopen(fd, "wb" if binary else "w") as stream:
             writer(stream)
         os.replace(tmp, path)
     except BaseException:
@@ -420,7 +530,8 @@ def clear() -> int:
     if not root.exists():
         return 0
     for path in root.rglob("*"):
-        if path.is_file() and path.suffix in (".sddf", ".json", ".tmp"):
+        if path.is_file() and path.suffix in (".sddf", ".npz", ".json",
+                                              ".tmp"):
             try:
                 path.unlink()
                 removed += 1

@@ -9,6 +9,8 @@ Models the extended Pablo performance environment the paper used
   client invokes on every operation.
 - :mod:`~repro.pablo.sddf` — a self-describing trace file format
   (SDDF-like) for persisting and reloading traces.
+- :mod:`~repro.pablo.colfile` — binary column files derived from SDDF
+  traces, which reload without a parse (the run cache keeps both).
 - :mod:`~repro.pablo.lifetime` — file lifetime summaries.
 - :mod:`~repro.pablo.timewindow` — time window summaries.
 - :mod:`~repro.pablo.region` — file region summaries.

@@ -13,7 +13,8 @@ Routes (all JSON unless noted):
   answered from cache / deduplicated onto an existing job)
 - ``GET  /v1/runs``                 list jobs
 - ``GET  /v1/runs/<id>``            job state (id or client name)
-- ``GET  /v1/runs/<id>/result``     summary + SDDF trace text
+- ``GET  /v1/runs/<id>/result``     summary + the stored SDDF trace
+  text, sent as stored after a length and SHA-256 check
 - ``GET  /v1/runs/<id>/events``     chunked JSONL event stream: job
   lifecycle, then per-sample telemetry rows, then an ``end`` record
 - ``GET  /v1/metrics``              OpenMetrics exposition
@@ -23,7 +24,6 @@ Routes (all JSON unless noted):
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -39,7 +39,9 @@ from repro.errors import (
 )
 from repro.experiments import cache
 from repro.experiments.sweep.scheduler import TICK_S, _now
-from repro.pablo.sddf import write_sddf
+# Not called here, but perfbench/spans.py patches ``server.write_sddf``
+# by name when it traces a serve run, so the binding must stay.
+from repro.pablo.sddf import write_sddf  # noqa: F401
 from repro.serve.jobs import DEFAULT_MAX_QUEUE, JobManager, job_payload
 from repro.serve.spec import RunRequest
 from repro.telemetry.export import to_openmetrics
@@ -163,18 +165,17 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServeJobNotFoundError(
                 f"job {job.id} has no result (state: {job.state})"
             )
-        result = cache.load(job.request.run_key)
-        if result is None:
+        sddf = cache.stored_sddf(job.request.run_key)
+        if sddf is None:
             raise ServeJobNotFoundError(
-                f"job {job.id} result was evicted from the run cache; "
-                "resubmit the spec to regenerate it"
+                f"job {job.id} result was evicted from the run cache "
+                "or failed its integrity check; resubmit the spec to "
+                "regenerate it"
             )
-        buf = io.StringIO()
-        write_sddf(result.trace, buf)
         self._send_json(200, {
             "job": job.id,
             "summary": job.summary,
-            "sddf": buf.getvalue(),
+            "sddf": sddf.decode("utf-8"),
         })
 
     def _stream_events(self, job_id: str) -> None:

@@ -8,7 +8,12 @@ executed.
 import hashlib
 import io
 import os
+import shutil
+import struct
+import zipfile
 
+import numpy as np
+import pytest
 
 from repro.apps import run_escat, scaled_escat_problem
 from repro.core.breakdown import io_time_breakdown
@@ -90,7 +95,7 @@ def test_cache_lru_eviction(tmp_path, monkeypatch):
         _, meta_path = cache._paths(key)
         os.utime(meta_path, (1000 + i, 1000 + i))
     per_entry = sum(
-        p.stat().st_size for key in keys for p in cache._paths(key)
+        p.stat().st_size for key in keys for p in tmp_path.rglob(f"{key}.*")
     ) // 3
 
     # Cap to roughly two entries: only the least recently used goes.
@@ -118,13 +123,16 @@ def test_corrupt_cache_entries_miss_and_quarantine(tmp_path, monkeypatch):
     problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
     result = run_escat("A", problem, seed=SEED)
 
-    # Truncated trace: miss, and both files are quarantined.
+    # Truncated trace: miss, and all three files are quarantined.
     key = cache.run_key(kind="q-trunc", problem=problem)
     cache.store(key, result)
     trace_path, meta_path = cache._paths(key)
+    columns_path = cache._columns_path(trace_path)
+    assert columns_path.exists()
     trace_path.write_text(trace_path.read_text()[: 64])
     assert cache.load(key) is None
     assert not trace_path.exists() and not meta_path.exists()
+    assert not columns_path.exists()
     # ... so a subsequent fetch_or_run repopulates a clean entry.
     again = cache.fetch_or_run(key, lambda: result)
     assert again is result
@@ -145,6 +153,62 @@ def test_corrupt_cache_entries_miss_and_quarantine(tmp_path, monkeypatch):
     meta_path.unlink()
     assert cache.load(key) is None
     assert not trace_path.exists()
+
+
+def _flip_start_byte(columns_path):
+    """Flip the last data byte of the column file's ``start`` member."""
+    with zipfile.ZipFile(columns_path) as archive:
+        info = archive.getinfo("start.npy")
+    with open(columns_path, "r+b") as stream:
+        stream.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", stream.read(4))
+        at = info.header_offset + 30 + name_len + extra_len + info.file_size - 1
+        stream.seek(at)
+        flipped = stream.read(1)[0] ^ 0xFF
+        stream.seek(at)
+        stream.write(bytes([flipped]))
+
+
+def _negative_phase_code(columns_path):
+    """Rewrite the column file with its first ``phase`` code at -1."""
+    with np.load(columns_path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members["phase"] = members["phase"].copy()
+    members["phase"][0] = -1
+    np.savez(columns_path, **members)
+
+
+@pytest.mark.parametrize(
+    "defect", ["missing", "flipped-byte", "other-entry", "negative-code"]
+)
+def test_column_file_defects_fall_back_to_sddf(tmp_path, monkeypatch, defect):
+    # The column file is derived from the SDDF file: when it is
+    # missing or rejected, load parses the SDDF and returns its trace.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
+    key = cache.run_key(kind=f"cols-{defect}", problem=problem)
+    cache.store(key, run_escat("A", problem, seed=SEED))
+    trace_path, _ = cache._paths(key)
+    columns_path = cache._columns_path(trace_path)
+    if defect == "missing":
+        columns_path.unlink()
+    elif defect == "flipped-byte":
+        _flip_start_byte(columns_path)
+    elif defect == "other-entry":
+        # Same event count, other bytes: only the SDDF digest the
+        # column file names tells the two apart.
+        other = cache.run_key(kind="cols-other", problem=problem)
+        cache.store(other, run_escat("A", problem, seed=SEED + 1))
+        other_trace, _ = cache._paths(other)
+        shutil.copyfile(cache._columns_path(other_trace), columns_path)
+    else:
+        _negative_phase_code(columns_path)
+    loaded = cache.load(key)
+    assert loaded is not None
+    out = io.StringIO()
+    write_sddf(loaded.trace, out)
+    assert out.getvalue().encode() == trace_path.read_bytes()
 
 
 def test_run_until_leaves_no_stopper_behind():

@@ -109,10 +109,12 @@ def test_concurrent_stores_of_same_run_key(tmp_path):
     # sweep without driver-side dedup would do) must leave one valid
     # entry: atomic temp-file renames mean no torn reads, and the
     # sidecar-last commit order means no loadable half-entry.
+    import io
     import multiprocessing
 
     from repro.apps import run_escat, scaled_escat_problem
     from repro.experiments import cache
+    from repro.pablo.sddf import write_sddf
 
     problem = scaled_escat_problem(
         n_nodes=2, n_channels=1, records_per_channel=2, n_energies=1,
@@ -138,6 +140,10 @@ def test_concurrent_stores_of_same_run_key(tmp_path):
     assert loaded is not None
     assert len(loaded.trace) == len(result.trace)
     assert loaded.wall_time == result.wall_time
+    loaded_out, result_out = io.StringIO(), io.StringIO()
+    write_sddf(loaded.trace, loaded_out)
+    write_sddf(result.trace, result_out)
+    assert loaded_out.getvalue() == result_out.getvalue()
 
 
 def test_cache_roundtrips_fault_summary():

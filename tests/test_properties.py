@@ -9,7 +9,7 @@ reference model or a mathematical invariant:
 - tile_sizes conservation;
 - SDDF round-trip fidelity;
 - trace construction routes (records, per-record and bulk capture,
-  SDDF files) agreeing column for column;
+  SDDF files, column files) agreeing column for column;
 - TurnTaker service order;
 - ReadBuffer coherence.
 """
@@ -20,11 +20,12 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.base import tile_sizes
 from repro.core.cdf import cdf_from_sizes
-from repro.pablo import IOEvent, IOOp, Trace, Tracer
+from repro.pablo import IOEvent, IOOp, Trace, TraceMeta, Tracer
+from repro.pablo.colfile import read_columns, write_columns
 from repro.pablo.sddf import read_sddf, write_sddf
 from repro.pablo.tracer import COLUMNS
 from repro.pfs import ExtentMap, StripeLayout
@@ -238,9 +239,32 @@ def tied_event_lists(draw):
     return events
 
 
-@given(tied_event_lists())
+@st.composite
+def trace_metas(draw):
+    return TraceMeta(
+        application=draw(_paths),
+        version=draw(_paths),
+        dataset=draw(_paths),
+        nodes=draw(st.integers(0, 4096)),
+        os_release=draw(_paths),
+        extra=draw(st.dictionaries(_paths, _paths, max_size=3)),
+    )
+
+
+#: A string holding every character the SDDF writer escapes, and "\r",
+#: which it leaves as is.
+_ESCAPED = "a\tb\nc\\d\re"
+
+
+@given(tied_event_lists(), trace_metas())
+@example([], TraceMeta())
+@example(
+    [IOEvent(0, IOOp.READ, _ESCAPED, 0.0, 1.0, 8, 0, "M_UNIX", _ESCAPED),
+     IOEvent(1, IOOp.WRITE, "\r", 0.0, 0.5, 0, -1, "", "\\")],
+    TraceMeta(application=_ESCAPED, nodes=2, extra={_ESCAPED: _ESCAPED}),
+)
 @settings(max_examples=100, deadline=None)
-def test_construction_routes_build_identical_columns(events):
+def test_construction_routes_build_identical_columns(events, meta):
     per_record = Tracer()
     for e in events:
         per_record.record_fields(e.node, e.op, e.path, e.start, e.duration,
@@ -254,14 +278,18 @@ def test_construction_routes_build_identical_columns(events):
         bulk.record_columns(node, op, path, mode, phase,
                             [e.start for e in run], [e.duration for e in run],
                             [e.nbytes for e in run], [e.offset for e in run])
-    reference = Trace(events)
+    reference = Trace(events, meta=meta)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.sddf")
         write_sddf(reference, path)
         reread = read_sddf(path)
+        columns_path = os.path.join(tmp, "trace.cols.npz")
+        write_columns(reference, columns_path, "0" * 64)
+        reloaded = read_columns(columns_path, "0" * 64)
+    assert reloaded.meta == reread.meta
     # Stable: tied records keep their append order.
     assert reference.events == sorted(events, key=lambda e: (e.start, e.node))
-    for trace in (per_record.finish(), bulk.finish(), reread):
+    for trace in (per_record.finish(), bulk.finish(), reread, reloaded):
         for name in COLUMNS:
             want, got = reference.column(name), trace.column(name)
             assert got.dtype == want.dtype, name

@@ -138,6 +138,29 @@ def test_fresh_run_then_repeat_hits_cache(serve_pair):
         assert again["point"][key] == doc["point"][key]
 
 
+def test_result_refuses_altered_stored_trace(serve_pair):
+    # /result sends the stored SDDF bytes only when they have the
+    # sidecar's length and SHA-256: a same-length edit is a defect,
+    # answered 404 with the entry quarantined, never sent.
+    from repro.errors import ServeJobNotFoundError
+    from repro.experiments import cache
+
+    server, client = serve_pair
+    doc = client.submit({"kind": "probe", "version": "ok", "seed": 61})
+    doc = client.wait(doc["job"], timeout=60.0)
+    assert doc["state"] == "done"
+    trace_path, meta_path = cache._paths(doc["run_key"])
+    stored = trace_path.read_bytes()
+    assert client.result(doc["job"])["sddf"].encode() == stored
+    altered = bytearray(stored)
+    altered[-2] ^= 0x01
+    trace_path.write_bytes(bytes(altered))
+    with pytest.raises(ServeJobNotFoundError):
+        client.result(doc["job"])
+    assert not trace_path.exists() and not meta_path.exists()
+    assert not cache._columns_path(trace_path).exists()
+
+
 def test_concurrent_same_spec_simulates_once(serve_pair):
     server, client = serve_pair
     n = 6

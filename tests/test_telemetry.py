@@ -544,7 +544,8 @@ def test_cli_cache_stats_and_clear(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
     result = run_escat("A", problem, seed=SEED)
-    cache.store(cache.run_key(kind="cli-stats", problem=problem), result)
+    key = cache.run_key(kind="cli-stats", problem=problem)
+    cache.store(key, result)
 
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
@@ -555,6 +556,7 @@ def test_cli_cache_stats_and_clear(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert str(tmp_path) in out
     assert cache.stats()["entries"] == 0
+    assert not list(tmp_path.rglob(f"{key}*"))
 
 
 def test_cli_bench_check_gates_on_baseline(tmp_path, monkeypatch, capsys):
