@@ -58,7 +58,7 @@ def profile_trace(
     conc = concurrency_stats(trace)
     data = trace.data_events()
     serialized = (
-        int((data.column("mode") == "M_UNIX").sum()) / len(data)
+        int(data.equals("mode", "M_UNIX").sum()) / len(data)
         if len(data) else 0.0
     )
     return AccessPatternProfile(

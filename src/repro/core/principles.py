@@ -65,7 +65,7 @@ def evaluate_principles(
     reread = _reread_fraction(reads)
     serialized = 0.0
     if len(data):
-        serialized = int((data.column("mode") == "M_UNIX").sum()) / len(data)
+        serialized = int(data.equals("mode", "M_UNIX").sum()) / len(data)
     return DesignPrincipleReport(
         aggregatable_read_fraction=agg_reads,
         aggregatable_write_fraction=agg_writes,

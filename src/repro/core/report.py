@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.breakdown import OperationBreakdown
 from repro.core.evolution import VersionComparison
 from repro.pablo.records import TABLE_OP_ORDER, IOOp
-from repro.pablo.tracer import OP_CODE
 
 
 def render_breakdown_table(
@@ -123,13 +122,19 @@ def mode_table_cell(
     ``ops`` in ``phase`` (on paths ending in ``suffix``, if given) and
     under which access modes, from the run's trace."""
     trace = result.trace
-    mask = (trace.column("phase") == phase) & np.isin(
-        trace.column("opcode"), [OP_CODE[op] for op in ops]
-    )
+    # A few compares beat np.isin on a small op list.
+    mask = np.zeros(len(trace), dtype=bool)
+    for op in ops:
+        mask |= trace.op_mask(op)
+    mask &= trace.equals("phase", phase)
     if suffix is not None:
-        mask[mask] = [p.endswith(suffix) for p in trace.column("path")[mask]]
-    nodes = np.unique(trace.column("node")[mask])
-    modes = sorted({m for m in trace.column("mode")[mask].tolist() if m})
+        # One endswith per distinct path, then a lookup per record.
+        ends = np.array([p.endswith(suffix) for p in trace.table("path")],
+                        dtype=bool)
+        mask &= ends[trace.codes("path")]
+    # Node ids are validated non-negative.
+    nodes = np.flatnonzero(np.bincount(trace.column("node")[mask]))
+    modes = trace.present("mode", mask)
     activity = (
         all_label if len(nodes) > result.n_nodes // 2
         else "Node zero" if nodes.tolist() == [0]

@@ -27,12 +27,18 @@ The sidecar records the SDDF file's byte length and SHA-256; the
 column file (:mod:`repro.pablo.colfile`) names the SHA-256 of the SDDF
 it was derived from.  :func:`load` checks the SDDF length against the
 sidecar, then builds the trace from the column file when its version
-and SHA-256 match the sidecar's, its dtypes and lengths are right and
-its string codes index their tables.  Otherwise it parses the SDDF,
-the source of truth, and when that fails too it quarantines the
-entry.  Either trace must have the sidecar's event count.
-:func:`stored_sddf`, which serves ``GET /v1/runs/<id>/result``, returns
-the SDDF bytes as stored after checking their length and SHA-256.
+and SHA-256 match the sidecar's, its dtypes and lengths are right, its
+string tables are sorted and its codes index them.  Otherwise it falls
+back to the SDDF, the source of truth, but parses only bytes that
+match the sidecar's SHA-256, and then re-derives the column file from
+the parsed trace, so the next load reads columns again.  (An entry
+whose column file has an older format is upgraded this way on its
+first load, without a re-simulation.)  When the bytes do not match or
+do not parse, it quarantines the entry.  Either trace must have the
+sidecar's event count.  :func:`stored_sddf`, which serves
+``GET /v1/runs/<id>/result``, and :func:`stored_entry`, which
+``repro trace`` copies from, return the SDDF bytes as stored after
+checking their length and SHA-256.
 
 The cache is size-capped: after every store, least-recently-used
 entries are evicted until the total footprint of all three files fits
@@ -53,11 +59,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro import flags
 from repro.apps.base import AppRunResult
@@ -274,6 +281,15 @@ def _sidecar(trace_path: Path, meta_path: Path) -> dict:
     return meta
 
 
+def _verified_sddf(trace_path: Path, meta: dict) -> bytes:
+    """The entry's SDDF bytes; raises ``ValueError`` unless they match
+    the sidecar's SHA-256."""
+    data = trace_path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != meta["sddf_sha256"]:
+        raise ValueError("trace bytes differ from the sidecar's digest")
+    return data
+
+
 def _hit(meta_path: Path) -> None:
     """Count a hit and refresh the entry's LRU recency."""
     try:
@@ -301,7 +317,8 @@ def load(key: str) -> Optional[AppRunResult]:
     entry is *quarantined* (its files unlinked) so the fresh run that
     follows can overwrite it cleanly and the defect cannot recur.  A
     missing or rejected column file is not a defect: the trace is then
-    parsed from the SDDF file.
+    parsed from the SDDF file, whose bytes must match the sidecar's
+    SHA-256, and the column file is re-derived.
     """
     if not cache_enabled():
         return None
@@ -328,17 +345,37 @@ def load(key: str) -> Optional[AppRunResult]:
 
 def _read_trace(trace_path: Path, meta: dict) -> Trace:
     """The entry's trace, from its column file when that file matches
-    the sidecar, else parsed from the SDDF file."""
+    the sidecar.
+
+    Otherwise (missing, corrupt or stale: the column file is derived
+    from the SDDF file, which stays the source of truth) the SDDF bytes
+    must match the sidecar's SHA-256; the trace is parsed from those
+    bytes and the column file re-derived from it, so the next load
+    reads columns again.  Raises ``ValueError`` for bytes that do not
+    match, or a trace without the sidecar's event count.
+    """
+    columns_path = _columns_path(trace_path)
     try:
-        trace = read_columns(_columns_path(trace_path), meta["sddf_sha256"])
+        trace = read_columns(columns_path, meta["sddf_sha256"])
+        rederive = False
     except Exception:
-        # Missing, corrupt or stale: the column file is derived from
-        # the SDDF file, which stays the source of truth.
-        trace = read_sddf(trace_path)
+        data = _verified_sddf(trace_path, meta)
+        # newline="\n", as read_sddf opens a path.
+        trace = read_sddf(io.TextIOWrapper(io.BytesIO(data), newline="\n"))
+        rederive = True
     if len(trace) != meta["events"]:
         raise ValueError(
             f"trace has {len(trace)} events, sidecar says {meta['events']}"
         )
+    if rederive:
+        try:
+            _atomic_write(
+                columns_path,
+                lambda f: write_columns(trace, f, meta["sddf_sha256"]),
+                binary=True,
+            )
+        except OSError:
+            pass
     return trace
 
 
@@ -367,7 +404,14 @@ def peek(key: str) -> Optional[dict]:
 
 def stored_sddf(key: str) -> Optional[bytes]:
     """The SDDF bytes stored for ``key``, exactly as written, or
-    ``None`` on a miss.
+    ``None`` on a miss (see :func:`stored_entry`)."""
+    entry = stored_entry(key)
+    return None if entry is None else entry[1]
+
+
+def stored_entry(key: str) -> Optional[Tuple[dict, bytes]]:
+    """The sidecar and the SDDF bytes stored for ``key``, the bytes
+    exactly as written, or ``None`` on a miss.
 
     The bytes must have the sidecar's length and SHA-256; an entry
     whose bytes do not is quarantined like a defect :func:`load`
@@ -379,14 +423,12 @@ def stored_sddf(key: str) -> Optional[bytes]:
     trace_path, meta_path = _paths(key)
     try:
         meta = _sidecar(trace_path, meta_path)
-        data = trace_path.read_bytes()
-        if hashlib.sha256(data).hexdigest() != meta["sddf_sha256"]:
-            raise ValueError("trace bytes differ from the sidecar's digest")
+        data = _verified_sddf(trace_path, meta)
     except (OSError, ValueError):
         _miss(meta_path)
         return None
     _hit(meta_path)
-    return data
+    return meta, data
 
 
 def _quarantine(meta_path: Path) -> None:

@@ -21,7 +21,7 @@ import traceback as traceback_module
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import ReproError, WorkloadError
+from repro.errors import WorkloadError
 
 from repro.apps import (
     CARBON_MONOXIDE,

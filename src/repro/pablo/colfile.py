@@ -7,39 +7,40 @@ stores that keep both forms (the run cache).  It is derived from the
 SDDF file and names that file's SHA-256 in its header, so a reader can
 tell whether the two still belong together.
 
-Layout: one ``.npy`` member per column in
-:data:`~repro.pablo.tracer.COLUMNS` order.  ``node``, ``opcode``,
-``start``, ``duration``, ``nbytes`` and ``offset`` keep their trace
-dtypes; ``path``, ``mode`` and ``phase`` are ``int32`` codes into
-per-column string tables.  A ``header`` member holds UTF-8 JSON text
-(as ``uint8``): the format version, the source SHA-256, the trace
-metadata exactly as :func:`~repro.pablo.sddf.read_sddf` returns it,
-and the string tables.  Nothing is pickled, so :func:`read_columns`
-loads with ``allow_pickle=False``.
+Layout (version 2): one ``.npy`` member per column in
+:data:`~repro.pablo.tracer.COLUMNS` order, each exactly as the trace
+holds it.  ``node``, ``opcode``, ``start``, ``duration``, ``nbytes``
+and ``offset`` keep their trace dtypes; ``path``, ``mode`` and
+``phase`` are the trace's ``int32`` codes into its sorted string
+tables.  A ``header`` member holds UTF-8 JSON text (as ``uint8``): the
+format version, the source SHA-256, the trace metadata exactly as
+:func:`~repro.pablo.sddf.read_sddf` returns it, and the string tables,
+each a list of distinct strings in sorted order.  Nothing is pickled,
+so :func:`read_columns` loads with ``allow_pickle=False``, and neither
+side encodes or decodes a string column.  Version 1 stored its tables
+in first-seen order; a reader rejects it.
 
 :func:`read_columns` raises :class:`~repro.errors.TraceError` when the
 version or the source SHA-256 differs from the caller's, a member has
-the wrong dtype, shape or length, or a string code falls outside its
-table.  The zip CRC rejects a flipped data byte.
+the wrong dtype, shape or length, a table is not a strictly increasing
+list of strings, or a string code falls outside its table.  The zip
+CRC rejects a flipped data byte.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import BinaryIO, Dict, List, Tuple, Union
+from typing import BinaryIO, Dict, Tuple, Union
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.pablo.records import TraceMeta
-from repro.pablo.tracer import COLUMNS, Trace
+from repro.pablo.tracer import COLUMNS, STRING_COLUMNS, Trace
 
 #: Layout version; a reader rejects every other one.
-FORMAT_VERSION = 1
-
-#: Columns stored as ``int32`` codes into a string table.
-STRING_COLUMNS = ("path", "mode", "phase")
+FORMAT_VERSION = 2
 
 #: Stored dtype per column.
 _STORED = dict(zip(COLUMNS, (
@@ -57,18 +58,16 @@ def write_columns(
 ) -> None:
     """Write ``trace`` as a column file derived from the SDDF file
     whose SHA-256 is ``source_sha256``."""
-    arrays: Dict[str, np.ndarray] = {}
-    tables: Dict[str, List[str]] = {}
-    for name in COLUMNS:
-        if name in STRING_COLUMNS:
-            arrays[name], tables[name] = _factorize(trace.column(name))
-        else:
-            arrays[name] = trace.column(name)
+    arrays: Dict[str, np.ndarray] = {
+        name: trace.codes(name) if name in STRING_COLUMNS
+        else trace.column(name)
+        for name in COLUMNS
+    }
     header = {
         "version": FORMAT_VERSION,
         "source_sha256": source_sha256,
         "meta": _sddf_meta(trace.meta),
-        "tables": tables,
+        "tables": {name: list(trace.table(name)) for name in STRING_COLUMNS},
     }
     arrays[_HEADER] = np.frombuffer(json.dumps(header).encode(), np.uint8)
     np.savez(destination, **arrays)
@@ -101,41 +100,33 @@ def read_columns(
         columns = [_member(archive, name, _STORED[name]) for name in COLUMNS]
     if any(len(column) != len(columns[0]) for column in columns):
         raise TraceError("column-file columns differ in length")
-    for i, name in enumerate(COLUMNS):
-        if name in STRING_COLUMNS:
-            columns[i] = _decode(name, columns[i], tables.get(name))
+    checked = {
+        name: _table(name, columns[COLUMNS.index(name)], tables.get(name))
+        for name in STRING_COLUMNS
+    }
     try:
         meta = TraceMeta(**meta_fields)
     except TypeError as exc:
         raise TraceError(f"bad column-file metadata: {exc}") from None
     # Stored in trace order, so no sort; validation costs one pass.
-    return Trace.from_columns(*columns, meta=meta, sort=False, validate=True)
+    return Trace.from_columns(*columns, meta=meta, sort=False, validate=True,
+                              tables=checked)
 
 
-def _factorize(column: np.ndarray) -> Tuple[np.ndarray, List[str]]:
-    """``column``'s codes into its distinct values, in first-seen
-    order.  One dict pass beats ``np.unique`` on object or ``U``
-    arrays, which sorts."""
-    index: Dict[str, int] = {}
-    codes = np.fromiter(
-        (index.setdefault(value, len(index)) for value in column.tolist()),
-        dtype=np.int32, count=len(column),
-    )
-    return codes, list(index)
-
-
-def _decode(name: str, codes: np.ndarray, table) -> np.ndarray:
-    """The object column that ``codes`` index in ``table``."""
+def _table(name: str, codes: np.ndarray, table) -> Tuple[str, ...]:
+    """``table`` as a trace string table, checked against ``codes``."""
     if not isinstance(table, list) or not all(
         isinstance(value, str) for value in table
     ):
         raise TraceError(f"column-file {name} table is not a string list")
+    # Trace.equals bisects the table, so order and uniqueness matter.
+    if any(a >= b for a, b in zip(table, table[1:])):
+        raise TraceError(f"column-file {name} table is not strictly "
+                         "increasing")
     # Fancy indexing would wrap a negative code silently.
     if len(codes) and (codes.min() < 0 or codes.max() >= len(table)):
         raise TraceError(f"column-file {name} code outside its table")
-    values = np.empty(len(table), dtype=object)
-    values[:] = table
-    return values[codes]
+    return tuple(table)
 
 
 def _member(archive, name: str, dtype) -> np.ndarray:

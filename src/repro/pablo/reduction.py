@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.pablo.records import IOEvent
-from repro.pablo.tracer import COLUMNS, Trace
+from repro.pablo.tracer import COLUMNS, STRING_COLUMNS, Trace
 
 
 def filter_events(trace: Trace, predicate: Callable[[IOEvent], bool]) -> Trace:
@@ -62,9 +62,13 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
 
 def remap_nodes(trace: Trace, offset: int) -> Trace:
     """Shift every event's node id by ``offset`` (pre-merge helper)."""
-    columns = [trace.column(name) for name in COLUMNS]
+    columns = [
+        trace.codes(name) if name in STRING_COLUMNS else trace.column(name)
+        for name in COLUMNS
+    ]
     columns[0] = columns[0] + offset
     # A uniform shift cannot change the (start, node) order.
     return Trace.from_columns(
-        *columns, meta=trace.meta, sort=False, validate=True
+        *columns, meta=trace.meta, sort=False, validate=True,
+        tables={name: trace.table(name) for name in STRING_COLUMNS},
     )

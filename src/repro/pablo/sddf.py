@@ -23,7 +23,14 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.pablo.records import IOEvent, TraceMeta
-from repro.pablo.tracer import OP_CODE, Trace, filled_column
+from repro.pablo.tracer import (
+    COLUMNS,
+    OP_CODE,
+    OP_LIST,
+    STRING_COLUMNS,
+    Trace,
+    filled_column,
+)
 
 _MAGIC = "#SDDF-IO 1"
 
@@ -41,8 +48,9 @@ _FIELDS = {
     "phase": "str",
 }
 
-#: Operation value, as SDDF stores it -> column op code.
+#: Operation value, as SDDF stores it -> column op code, and back.
 _OP_CODES = {op.value: code for op, code in OP_CODE.items()}
+_OP_VALUES = [op.value for op in OP_LIST]
 
 #: Fields a descriptor may omit, and the value they then take.
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(IOEvent)
@@ -88,20 +96,36 @@ def write_sddf(trace: Trace, destination: Union[str, os.PathLike, TextIO]) -> No
         descriptor = " ".join(f"{name}:{tag}" for name, tag in _FIELDS.items())
         stream.write(f"#record IOEvent {descriptor}\n")
         stream.write("#data\n")
-        # Columnar export: no record objects are materialized.  The
-        # values are Python scalars, so repr() of the floats matches
-        # the historical per-event output byte for byte.
+        # Columnar export: no record objects are materialized, and each
+        # string table entry is escaped once.  The values are Python
+        # scalars, so repr() of the floats matches the historical
+        # per-event output byte for byte.
         write = stream.write
         for node, op_value, path, start, duration, nbytes, offset, mode, \
-                phase in trace.export_rows():
+                phase in _export_rows(trace):
             write(
-                f"{node}\t{op_value}\t{_escape(path)}\t{start!r}\t"
-                f"{duration!r}\t{nbytes}\t{offset}\t{_escape(mode)}\t"
-                f"{_escape(phase)}\n"
+                f"{node}\t{op_value}\t{path}\t{start!r}\t{duration!r}\t"
+                f"{nbytes}\t{offset}\t{mode}\t{phase}\n"
             )
     finally:
         if own:
             stream.close()
+
+
+def _export_rows(trace: Trace):
+    """Per-record SDDF field values in trace order: Python scalars,
+    the op value, and escaped strings."""
+    fields = []
+    for name in COLUMNS:
+        if name in STRING_COLUMNS:
+            escaped = [_escape(value) for value in trace.table(name)]
+            fields.append(map(escaped.__getitem__, trace.codes(name).tolist()))
+        elif name == "opcode":
+            fields.append(map(_OP_VALUES.__getitem__,
+                              trace.column(name).tolist()))
+        else:
+            fields.append(trace.column(name).tolist())
+    return zip(*fields)
 
 
 def read_sddf(source: Union[str, os.PathLike, TextIO]) -> Trace:

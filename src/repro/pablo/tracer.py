@@ -5,23 +5,37 @@ completed capture is a :class:`Trace` with metadata and convenient
 NumPy views for the analyses.
 
 Storage is *columnar*, and every trace is built one way: nine
-parallel NumPy columns handed to :meth:`Trace.from_columns`, which
-sorts them stably by ``(start, node)`` and validates them once.  Live
+parallel columns handed to :meth:`Trace.from_columns`, which sorts
+them stably by ``(start, node)`` and validates them once.  Live
 capture appends plain row tuples (or one block per bulk append) that
-:func:`columns_from_rows` turns into columns, as it does for
-``Trace(events)``; the SDDF reader parses straight into columns.
+:meth:`Tracer.finish` turns into column chunks; ``Trace(events)`` goes
+through the same row chunks, and the SDDF reader parses straight into
+columns.
+
+The string fields ``path``, ``mode`` and ``phase`` hold a few distinct
+values per run, so a trace keeps each as ``int32`` codes into a table
+of its distinct strings in sorted order (:meth:`Trace.codes`,
+:meth:`Trace.table`).  Sorted tables make the codes canonical: every
+construction route gives the same codes and tables for the same
+records.  A masked sub-trace keeps its parent's tables, so a table may
+hold values that no record uses; :meth:`Trace.present` lists only the
+values held.  :meth:`Trace.column` still returns a string column as an
+object array of ``str``, decoded on first use and kept.
 
 Tables 1-5, CDFs, timelines, classification, merges and SDDF export
-read the columns.  The record view (``trace.events``, iteration,
-:meth:`Trace.select`) builds :class:`~repro.pablo.records.IOEvent`
-objects on first use, for tests, tracer extensions and the analyses
-that keep state per stream or key (lifetimes, counters, regions, time
-windows, phase profiles, bandwidth, replay).
+read the columns; the Table 1/4 cells, the phase, path and mode
+filters and the telemetry breakdown compare codes.  The record view
+(``trace.events``, iteration, :meth:`Trace.select`) builds
+:class:`~repro.pablo.records.IOEvent` objects on first use, for tests,
+tracer extensions and the analyses that keep state per stream or key
+(lifetimes, counters, regions, time windows, phase profiles,
+bandwidth, replay).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,9 +48,9 @@ from repro.pablo.records import IOEvent, IOOp, TraceMeta
 #: string values).
 OP_LIST: List[IOOp] = list(IOOp)
 OP_CODE = {op: code for code, op in enumerate(OP_LIST)}
-_OP_VALUES = [op.value for op in OP_LIST]
 
-#: Column names, in :meth:`Trace.from_columns` order, and their dtypes.
+#: Column names, in :meth:`Trace.from_columns` order, and their dtypes
+#: as :func:`columns_from_rows` builds them.
 COLUMNS = (
     "node", "opcode", "path", "start", "duration", "nbytes", "offset",
     "mode", "phase",
@@ -46,6 +60,13 @@ _DTYPES = (
     object, object,
 )
 
+#: Columns a trace holds as ``int32`` codes into a sorted string table.
+STRING_COLUMNS = ("path", "mode", "phase")
+_STRING_AT = tuple(COLUMNS.index(name) for name in STRING_COLUMNS)
+
+#: A string column's table: its distinct values, strictly increasing.
+Table = Tuple[str, ...]
+
 
 class Trace:
     """A captured I/O trace: events plus descriptive metadata.
@@ -54,13 +75,15 @@ class Trace:
     classic record view.
     """
 
-    __slots__ = ("meta", "_event_cache") + tuple("_" + c for c in COLUMNS)
+    __slots__ = ("meta", "_event_cache", "_tables", "_decoded") + tuple(
+        "_" + c for c in COLUMNS
+    )
 
     def __init__(
         self, events: Iterable[IOEvent], meta: Optional[TraceMeta] = None
     ) -> None:
         rows = [_row(e) for e in events]
-        self._seal(columns_from_rows(rows), meta, sort=True, validate=True)
+        self._seal(_row_chunk(rows), meta, sort=True, validate=True)
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -78,28 +101,40 @@ class Trace:
         meta: Optional[TraceMeta] = None,
         sort: bool = True,
         validate: bool = True,
+        tables: Optional[Dict[str, Table]] = None,
     ) -> "Trace":
         """Build a trace directly from parallel column arrays.
 
-        ``sort=False`` asserts the columns are already ``(start, node)``
-        ordered (e.g. a mask applied to a sorted trace).
+        ``path``, ``mode`` and ``phase`` are sequences of ``str`` (object
+        arrays, say), encoded here; or, with ``tables``, ``int32`` codes
+        into those sorted tables, which a route that already holds
+        codes passes through unchecked.  ``sort=False`` asserts the
+        columns are already ``(start, node)`` ordered (e.g. a mask
+        applied to a sorted trace).
         """
         trace = cls.__new__(cls)
         trace._seal(
             [node, opcode, path, start, duration, nbytes, offset, mode,
              phase],
-            meta, sort, validate,
+            meta, sort, validate, tables,
         )
         return trace
 
-    def _seal(self, columns, meta, sort: bool, validate: bool) -> None:
+    def _seal(self, columns, meta, sort: bool, validate: bool,
+              tables: Optional[Dict[str, Table]] = None) -> None:
         self.meta = meta or TraceMeta()
+        if tables is None:
+            tables = {}
+            for at, name in zip(_STRING_AT, STRING_COLUMNS):
+                columns[at], tables[name] = _encode_strings(columns[at])
         if sort and len(columns[0]) > 1:
             # Stable, so ties keep append order.
             order = np.lexsort((columns[0], columns[3]))
             columns = [column[order] for column in columns]
         for name, column in zip(COLUMNS, columns):
             setattr(self, "_" + name, column)
+        self._tables = tables
+        self._decoded: Dict[str, np.ndarray] = {}
         self._event_cache: Optional[List[IOEvent]] = None
         if validate:
             bad = (self._duration < 0) | (self._nbytes < 0) | (self._node < 0)
@@ -108,9 +143,6 @@ class Trace:
                 # error is that record's own validate() message.
                 first = int(np.argmax(bad))
                 self._masked(slice(first, first + 1)).events[0].validate()
-
-    def _columns(self) -> List[np.ndarray]:
-        return [getattr(self, "_" + name) for name in COLUMNS]
 
     # -- record view -------------------------------------------------------
     @property
@@ -129,15 +161,8 @@ class Trace:
             IOEvent(node, ops[code], path, start, duration, nbytes, offset,
                     mode, phase)
             for node, code, path, start, duration, nbytes, offset, mode, phase
-            in zip(*(column.tolist() for column in self._columns()))
+            in zip(*(self.column(name).tolist() for name in COLUMNS))
         ]
-
-    def export_rows(self) -> Iterator[Tuple]:
-        """Per-record ``(node, op_value, path, start, duration, nbytes,
-        offset, mode, phase)`` tuples with Python scalar types, in trace
-        order — the SDDF writer's columnar fast path."""
-        node, code, *rest = [column.tolist() for column in self._columns()]
-        return zip(node, map(_OP_VALUES.__getitem__, code), *rest)
 
     def __len__(self) -> int:
         return len(self._start)
@@ -163,11 +188,50 @@ class Trace:
         return self._opcode.copy()
 
     def column(self, name: str) -> np.ndarray:
-        """Internal column by field name (treat as read-only)."""
-        try:
-            return getattr(self, "_" + name)
-        except AttributeError:
-            raise TraceError(f"unknown trace column {name!r}") from None
+        """Column by field name (treat as read-only).  A string column
+        is an object array of ``str``, decoded on first use and kept."""
+        if name in STRING_COLUMNS:
+            decoded = self._decoded.get(name)
+            if decoded is None:
+                values = np.empty(len(self._tables[name]), dtype=object)
+                values[:] = self._tables[name]
+                decoded = self._decoded[name] = values[self.codes(name)]
+            return decoded
+        if name not in COLUMNS:
+            raise TraceError(f"unknown trace column {name!r}")
+        return getattr(self, "_" + name)
+
+    def codes(self, name: str) -> np.ndarray:
+        """String column ``name`` as ``int32`` codes into
+        :meth:`table` (treat as read-only)."""
+        if name not in STRING_COLUMNS:
+            raise TraceError(f"{name!r} is not a string trace column")
+        return getattr(self, "_" + name)
+
+    def table(self, name: str) -> Table:
+        """The sorted distinct strings that :meth:`codes` index."""
+        if name not in STRING_COLUMNS:
+            raise TraceError(f"{name!r} is not a string trace column")
+        return self._tables[name]
+
+    def equals(self, name: str, value: str) -> np.ndarray:
+        """Mask of the records whose string field ``name`` is
+        ``value``; all ``False`` when the table lacks ``value``."""
+        table = self.table(name)
+        code = bisect_left(table, value)
+        if code == len(table) or table[code] != value:
+            return np.zeros(len(self), dtype=bool)
+        return self.codes(name) == code
+
+    def present(self, name: str, mask=None) -> List[str]:
+        """The non-empty ``name`` values that the records (those at
+        ``mask``, if given) hold, sorted."""
+        codes = self.codes(name)
+        if mask is not None:
+            codes = codes[mask]
+        table = self.table(name)
+        held = np.flatnonzero(np.bincount(codes, minlength=len(table)))
+        return [table[code] for code in held.tolist() if table[code]]
 
     # -- convenience -----------------------------------------------------
     def select(self, predicate: Callable[[IOEvent], bool]) -> "Trace":
@@ -180,10 +244,11 @@ class Trace:
         return self._masked(mask)
 
     def _masked(self, mask) -> "Trace":
-        """The sub-trace at a boolean mask or slice (order is kept)."""
+        """The sub-trace at a boolean mask or slice (order is kept),
+        sharing this trace's string tables."""
         return Trace.from_columns(
-            *[column[mask] for column in self._columns()],
-            meta=self.meta, sort=False, validate=False,
+            *[getattr(self, "_" + name)[mask] for name in COLUMNS],
+            meta=self.meta, sort=False, validate=False, tables=self._tables,
         )
 
     def op_mask(self, op: IOOp) -> np.ndarray:
@@ -193,10 +258,10 @@ class Trace:
         return self._masked(self.op_mask(op))
 
     def by_phase(self, phase: str) -> "Trace":
-        return self._masked(self._phase == phase)
+        return self._masked(self.equals("phase", phase))
 
     def by_path(self, path: str) -> "Trace":
-        return self._masked(self._path == path)
+        return self._masked(self.equals("path", path))
 
     def data_events(self) -> "Trace":
         """Only reads and writes."""
@@ -220,11 +285,11 @@ class Trace:
         return float((self._start + self._duration).max() - self._start[0])
 
     def paths(self) -> List[str]:
-        return sorted({p for p in self._path.tolist() if p})
+        return self.present("path")
 
     def modes(self) -> List[str]:
         """The access modes the trace exercises, sorted."""
-        return sorted({m for m in self._mode.tolist() if m})
+        return self.present("mode")
 
     def __repr__(self) -> str:
         return (
@@ -233,22 +298,63 @@ class Trace:
         )
 
 
+def _encode_strings(values) -> Tuple[np.ndarray, Table]:
+    """``values`` (a sequence of ``str``) as ``int32`` codes into the
+    sorted table of its distinct values."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return _encode_chunks([values], [len(values)])
+
+
+def _encode_chunks(
+    parts: Sequence[Sequence[str]], counts: Sequence[int]
+) -> Tuple[np.ndarray, Table]:
+    """One string column's codes and sorted table, given per chunk of
+    ``count`` records as each record's value or as the single value
+    that all of them share (a bulk block)."""
+    table = tuple(sorted(set().union(*parts)))
+    index = {value: code for code, value in enumerate(table)}
+    codes = np.empty(sum(counts), dtype=np.int32)
+    at = 0
+    for part, count in zip(parts, counts):
+        if len(part) == count:
+            codes[at:at + count] = np.fromiter(
+                map(index.__getitem__, part), dtype=np.int32, count=count
+            )
+        else:
+            codes[at:at + count] = index[part[0]]
+        at += count
+    return codes, table
+
+
 def columns_from_rows(rows: Sequence[Tuple]) -> List[np.ndarray]:
     """The nine trace columns of ``(node, op, path, start, duration,
-    nbytes, offset, mode, phase)`` row tuples, in row order."""
+    nbytes, offset, mode, phase)`` row tuples, in row order, string
+    columns as object arrays."""
+    columns = _row_chunk(rows)
+    for at in _STRING_AT:
+        column = np.empty(len(rows), dtype=object)
+        column[:] = columns[at]
+        columns[at] = column
+    return columns
+
+
+def _row_chunk(rows: Sequence[Tuple]) -> list:
+    """The columns of ``rows``, string columns as tuples of values."""
     if not rows:
-        return [np.empty(0, dtype=dtype) for dtype in _DTYPES]
+        return [() if dtype is object else np.empty(0, dtype=dtype)
+                for dtype in _DTYPES]
     node, op, path, start, duration, nbytes, offset, mode, phase = zip(*rows)
     return [
         np.array(node, dtype=np.int64),
         np.fromiter((OP_CODE[o] for o in op), dtype=np.int8, count=len(rows)),
-        np.array(path, dtype=object),
+        path,
         np.array(start, dtype=np.float64),
         np.array(duration, dtype=np.float64),
         np.array(nbytes, dtype=np.int64),
         np.array(offset, dtype=np.int64),
-        np.array(mode, dtype=object),
-        np.array(phase, dtype=object),
+        mode,
+        phase,
     ]
 
 
@@ -297,18 +403,20 @@ class _ColumnBlock:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def columns(self) -> List[np.ndarray]:
+    def columns(self) -> list:
+        """The block's column chunk, each string column as its one
+        shared value."""
         m = len(self.starts)
         return [
             filled_column(self.node, m, np.int64),
             filled_column(OP_CODE[self.op], m, np.int8),
-            filled_column(self.path, m, object),
+            (self.path,),
             np.array(self.starts, dtype=np.float64),
             np.array(self.durations, dtype=np.float64),
             np.array(self.nbytes, dtype=np.int64),
             np.array(self.offsets, dtype=np.int64),
-            filled_column(self.mode, m, object),
-            filled_column(self.phase, m, object),
+            (self.mode,),
+            (self.phase,),
         ]
 
 
@@ -434,7 +542,9 @@ class Tracer:
         Each run of per-record tuples becomes one column chunk and each
         bulk block another.  The chunks concatenate in append order,
         which keeps per-node order: all the stable ``(start, node)``
-        sort needs to break ties as a per-record capture would.
+        sort needs to break ties as a per-record capture would.  The
+        string columns are encoded per chunk, without object arrays: a
+        block costs one table lookup per column.
         """
         rows = self._rows
         chunks = []
@@ -442,16 +552,23 @@ class Tracer:
         for end in [i for i, row in enumerate(rows)
                     if type(row) is _ColumnBlock]:
             if end > begin:
-                chunks.append(columns_from_rows(rows[begin:end]))
+                chunks.append(_row_chunk(rows[begin:end]))
             chunks.append(rows[end].columns())
             begin = end + 1
         if begin < len(rows) or not chunks:
-            chunks.append(columns_from_rows(rows[begin:]))
-        columns = (
-            chunks[0] if len(chunks) == 1
-            else [np.concatenate(parts) for parts in zip(*chunks)]
-        )
-        return Trace.from_columns(*columns, meta=self.meta)
+            chunks.append(_row_chunk(rows[begin:]))
+        counts = [len(chunk[3]) for chunk in chunks]
+        columns = []
+        tables = {}
+        for name, parts in zip(COLUMNS, zip(*chunks)):
+            if name in STRING_COLUMNS:
+                codes, tables[name] = _encode_chunks(parts, counts)
+                columns.append(codes)
+            else:
+                columns.append(
+                    parts[0] if len(parts) == 1 else np.concatenate(parts)
+                )
+        return Trace.from_columns(*columns, meta=self.meta, tables=tables)
 
     def __repr__(self) -> str:
         return f"<Tracer events={len(self._rows)} enabled={self._enabled}>"

@@ -387,19 +387,21 @@ def trace_breakdown(trace: "Trace") -> dict:
     from repro.pablo.tracer import OP_LIST
 
     out = {"events": len(trace), "io_time_s": trace.total_io_time}
+    durations = trace.column("duration")
     for field, name in (("phase", "by_phase"), ("mode", "by_mode")):
-        col = trace.column(field)
+        codes = trace.codes(field)
+        table = trace.table(field)
+        counts = np.bincount(codes, minlength=len(table))
         section = {}
-        for value in np.unique(col):
-            mask = col == value
-            section[str(value) or "(none)"] = {
-                "events": int(mask.sum()),
-                "io_time_s": float(trace.column("duration")[mask].sum()),
+        # Sorted tables: the keys come in value order.
+        for code in np.flatnonzero(counts).tolist():
+            section[table[code] or "(none)"] = {
+                "events": int(counts[code]),
+                "io_time_s": float(durations[codes == code].sum()),
             }
         out[name] = section
     ops = {}
     codes = trace.op_codes()
-    durations = trace.column("duration")
     for code in sorted(set(codes.tolist())):
         mask = codes == code
         ops[OP_LIST[code].value] = {

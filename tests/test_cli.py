@@ -69,13 +69,51 @@ def test_rates_command(capsys):
     assert "M_RECORD" in out and "MB/s" in out
 
 
-def test_trace_unwritable_output_is_one_line_error(capsys):
+def test_trace_unwritable_output_is_one_line_error(
+    tmp_path, monkeypatch, capsys
+):
+    # An empty cache: the first call resolves the run (and stores it),
+    # the second finds the stored bytes.  Both fail at the output.
+    from repro.experiments import cache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
     clear_cache()
-    assert main(["trace", "escat", "A", "/no/such/dir/out.sddf",
-                 "--fast"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    for hit in (False, True):
+        before = cache.session_stats()["hits"]
+        assert main(["trace", "escat", "A", "/no/such/dir/out.sddf",
+                     "--fast"]) == 1
+        assert cache.session_stats()["hits"] - before == int(hit)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+def test_trace_writes_the_stored_bytes_on_a_cache_hit(
+    tmp_path, monkeypatch, capsys
+):
+    from repro import pablo
+    from repro.experiments import cache
+    from repro.experiments.runner import escat_result, plan_run
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    clear_cache()
+    result = escat_result("A", fast=True)
+    stored, _ = cache._paths(plan_run("escat", "A", fast=True).key)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cache hit must not load or write a trace")
+
+    for owner, name in ((cache, "read_columns"), (cache, "read_sddf"),
+                        (pablo, "write_sddf")):
+        monkeypatch.setattr(owner, name, unreachable)
+    out = tmp_path / "out.sddf"
+    assert main(["trace", "escat", "A", str(out), "--fast"]) == 0
+    assert out.read_bytes() == stored.read_bytes()
+    assert capsys.readouterr().out == (
+        f"wrote {len(result.trace)} events (ESCAT A) to {out}\n"
+    )
 
 
 def test_chaos_unreadable_plan_is_one_line_error(capsys):

@@ -7,6 +7,7 @@ executed.
 
 import hashlib
 import io
+import json
 import os
 import shutil
 import struct
@@ -19,6 +20,7 @@ from repro.apps import run_escat, scaled_escat_problem
 from repro.core.breakdown import io_time_breakdown
 from repro.experiments import cache
 from repro.experiments import runner
+from repro.pablo.colfile import read_columns
 from repro.pablo.sddf import write_sddf
 from repro.sim import Engine
 
@@ -178,19 +180,37 @@ def _negative_phase_code(columns_path):
     np.savez(columns_path, **members)
 
 
+def _edit_phase_table(columns_path, edit):
+    """Rewrite the column file with ``edit`` applied to its ``phase``
+    table (the codes stay as they are)."""
+    with np.load(columns_path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    header = json.loads(members["header"].tobytes())
+    header["tables"]["phase"] = edit(header["tables"]["phase"])
+    members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    np.savez(columns_path, **members)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called")
+
+
 @pytest.mark.parametrize(
-    "defect", ["missing", "flipped-byte", "other-entry", "negative-code"]
+    "defect", ["missing", "flipped-byte", "other-entry", "negative-code",
+               "unsorted-table", "duplicate-table-entry"]
 )
 def test_column_file_defects_fall_back_to_sddf(tmp_path, monkeypatch, defect):
     # The column file is derived from the SDDF file: when it is
-    # missing or rejected, load parses the SDDF and returns its trace.
+    # missing or rejected, load parses the SDDF and returns its trace,
+    # then re-derives the column file from it.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
     key = cache.run_key(kind=f"cols-{defect}", problem=problem)
     cache.store(key, run_escat("A", problem, seed=SEED))
-    trace_path, _ = cache._paths(key)
+    trace_path, meta_path = cache._paths(key)
     columns_path = cache._columns_path(trace_path)
+    digest = json.loads(meta_path.read_text())["sddf_sha256"]
     if defect == "missing":
         columns_path.unlink()
     elif defect == "flipped-byte":
@@ -202,13 +222,63 @@ def test_column_file_defects_fall_back_to_sddf(tmp_path, monkeypatch, defect):
         cache.store(other, run_escat("A", problem, seed=SEED + 1))
         other_trace, _ = cache._paths(other)
         shutil.copyfile(cache._columns_path(other_trace), columns_path)
-    else:
+    elif defect == "negative-code":
         _negative_phase_code(columns_path)
+    elif defect == "unsorted-table":
+        _edit_phase_table(columns_path, lambda table: table[::-1])
+    else:
+        # The codes never reach the duplicate: only the check on the
+        # table itself rejects it.
+        _edit_phase_table(columns_path, lambda table: table + table[-1:])
+    if defect != "missing":
+        # A CRC error is zipfile's own exception, not a TraceError.
+        with pytest.raises(Exception):
+            read_columns(columns_path, digest)
     loaded = cache.load(key)
     assert loaded is not None
     out = io.StringIO()
     write_sddf(loaded.trace, out)
     assert out.getvalue().encode() == trace_path.read_bytes()
+    # The load re-derived the column file, so the next load reads it
+    # and parses no SDDF.
+    rederived = read_columns(columns_path, digest)
+    assert len(rederived) == len(loaded.trace)
+    monkeypatch.setattr(cache, "read_sddf", _raise)
+    again = cache.load(key)
+    assert again is not None
+    out = io.StringIO()
+    write_sddf(again.trace, out)
+    assert out.getvalue().encode() == trace_path.read_bytes()
+
+
+def test_fallback_quarantines_sddf_bytes_the_sidecar_does_not_name(
+    tmp_path, monkeypatch
+):
+    # Without a column file, the SDDF bytes must match the sidecar's
+    # SHA-256 before they are parsed: a changed digit still parses (to
+    # a trace with the sidecar's event count), so only the digest
+    # catches it.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
+    key = cache.run_key(kind="sddf-digit", problem=problem)
+    cache.store(key, run_escat("A", problem, seed=SEED))
+    trace_path, meta_path = cache._paths(key)
+    columns_path = cache._columns_path(trace_path)
+    columns_path.unlink()
+    data = bytearray(trace_path.read_bytes())
+    # The first record's node id: one digit, same length.
+    at = data.index(b"#data\n") + len(b"#data\n")
+    assert chr(data[at]).isdigit()
+    data[at] = ord("1") if data[at] != ord("1") else ord("2")
+    trace_path.write_bytes(bytes(data))
+    before = cache.session_stats()
+    assert cache.load(key) is None
+    after = cache.session_stats()
+    assert after["misses"] - before["misses"] == 1
+    assert after["quarantined"] - before["quarantined"] == 1
+    assert not trace_path.exists() and not meta_path.exists()
+    assert not columns_path.exists()
 
 
 def test_run_until_leaves_no_stopper_behind():

@@ -97,6 +97,36 @@ def test_trace_selectors():
     assert trace.paths() == ["/a", "/b"]
 
 
+def test_sub_trace_keeps_tables_but_lists_present_values():
+    trace = Trace([
+        ev(op=IOOp.READ, path="/a", mode="M_UNIX", phase="p1"),
+        ev(op=IOOp.WRITE, path="/b", mode="M_RECORD", phase="p2"),
+        ev(op=IOOp.SEEK, path="", mode="", phase="p1", nbytes=0),
+    ])
+    assert trace.table("path") == ("", "/a", "/b")
+    assert trace.paths() == ["/a", "/b"]
+    assert trace.modes() == ["M_RECORD", "M_UNIX"]
+    reads = trace.by_op(IOOp.READ)
+    for name in ("path", "mode", "phase"):
+        assert reads.table(name) == trace.table(name)
+    assert reads.paths() == ["/a"]
+    assert reads.modes() == ["M_UNIX"]
+    # The string column view decodes the codes once and keeps it.
+    assert reads.column("path").tolist() == ["/a"]
+    assert reads.column("path") is reads.column("path")
+
+
+def test_absent_string_value_selects_nothing():
+    trace = Trace([ev(phase="p1"), ev(phase="p3")])
+    assert len(trace.by_phase("absent")) == 0
+    # Before the first table entry, between two, and after the last.
+    for value in ("", "p2", "zz"):
+        mask = trace.equals("phase", value)
+        assert mask.dtype == bool and mask.shape == (2,)
+        assert not mask.any()
+    assert trace.equals("phase", "p3").tolist() == [False, True]
+
+
 def test_trace_totals():
     trace = Trace([
         ev(start=0.0, duration=1.0, nbytes=100),

@@ -27,7 +27,7 @@ from repro.core.cdf import cdf_from_sizes
 from repro.pablo import IOEvent, IOOp, Trace, TraceMeta, Tracer
 from repro.pablo.colfile import read_columns, write_columns
 from repro.pablo.sddf import read_sddf, write_sddf
-from repro.pablo.tracer import COLUMNS
+from repro.pablo.tracer import COLUMNS, STRING_COLUMNS
 from repro.pfs import ExtentMap, StripeLayout
 
 
@@ -297,6 +297,11 @@ def test_construction_routes_build_identical_columns(events, meta):
                 assert got.tolist() == want.tolist(), name
             else:
                 assert got.tobytes() == want.tobytes(), name
+        # Sorted tables make the string codes canonical.
+        for name in STRING_COLUMNS:
+            assert trace.codes(name).tobytes() == \
+                reference.codes(name).tobytes(), name
+            assert trace.table(name) == reference.table(name), name
 
 
 # ------------------------------------------------------------- TurnTaker

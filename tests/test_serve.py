@@ -13,7 +13,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 

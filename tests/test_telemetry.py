@@ -31,6 +31,7 @@ from repro.telemetry import (
     TelemetryError,
     to_json,
     to_openmetrics,
+    trace_breakdown,
 )
 
 SEED = 1996
@@ -266,6 +267,51 @@ def test_snapshot_structure_and_consistency(monkeypatch, forced_telemetry):
     text = to_openmetrics(snap)
     assert text.endswith("# EOF\n")
     json.dumps(snap)
+
+
+def _breakdown_from_objects(trace):
+    """trace_breakdown's dict, computed from the decoded object
+    columns with np.unique."""
+    import numpy as np
+
+    from repro.pablo.tracer import OP_LIST
+
+    out = {"events": len(trace), "io_time_s": trace.total_io_time}
+    durations = trace.column("duration")
+    for field, name in (("phase", "by_phase"), ("mode", "by_mode")):
+        values = trace.column(field)
+        out[name] = {
+            str(value) or "(none)": {
+                "events": int((values == value).sum()),
+                "io_time_s": float(durations[values == value].sum()),
+            }
+            for value in np.unique(values)
+        }
+    codes = trace.op_codes()
+    out["by_op"] = {
+        OP_LIST[code].value: {
+            "events": int((codes == code).sum()),
+            "io_time_s": float(durations[codes == code].sum()),
+        }
+        for code in sorted(set(codes.tolist()))
+    }
+    return out
+
+
+def test_trace_breakdown_matches_the_object_columns():
+    from repro.pablo import IOEvent, IOOp, Trace
+
+    trace = Trace([
+        IOEvent(0, IOOp.OPEN, "/a", 0.0, 0.5, 0, -1, "", ""),
+        IOEvent(1, IOOp.READ, "/a", 0.1, 0.25, 8, 0, "M_UNIX", "p2"),
+        IOEvent(2, IOOp.WRITE, "/b", 0.2, 0.125, 8, 0, "M_RECORD", "p1"),
+        IOEvent(3, IOOp.READ, "/b", 0.3, 1.5, 8, 8, "M_UNIX", "p1"),
+    ])
+    # The sub-trace keeps table entries no record of it uses.
+    for sub in (trace, trace.by_op(IOOp.READ), trace.by_phase("absent")):
+        got, want = trace_breakdown(sub), _breakdown_from_objects(sub)
+        # Same keys in the same order, same values.
+        assert json.dumps(got) == json.dumps(want)
 
 
 def test_sample_resolution_override(monkeypatch, forced_telemetry):
