@@ -11,7 +11,7 @@ requirements of the application access patterns" (section 5.4).
 from conftest import run_once
 
 from repro.machine import MachineConfig, ParagonXPS
-from repro.pablo import IOOp, Tracer
+from repro.pablo import Tracer
 from repro.pfs import PFS, AccessMode
 from repro.policies import AdaptivePolicy
 from repro.sim import Engine

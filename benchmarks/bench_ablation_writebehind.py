@@ -9,7 +9,7 @@ section-7 recommendation.
 from conftest import run_once
 
 from repro.machine import MachineConfig, ParagonXPS
-from repro.pablo import IOOp, Tracer
+from repro.pablo import Tracer
 from repro.pfs import PFS, AccessMode
 from repro.policies import DelayedWriteBuffer
 from repro.sim import Engine

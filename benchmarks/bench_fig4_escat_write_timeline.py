@@ -1,6 +1,5 @@
 """Figure 4: ESCAT write sizes over execution time (versions A, C)."""
 
-import numpy as np
 from conftest import run_once
 
 from repro.experiments.figures import figure4

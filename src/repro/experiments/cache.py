@@ -17,36 +17,52 @@ exactly — asserted by the regression tests.
 
 Layout::
 
-    ~/.cache/repro/<key[:2]>/<key>.sddf       # the trace (interchange)
-    ~/.cache/repro/<key[:2]>/<key>.cols.npz   # its columns, binary
-    ~/.cache/repro/<key[:2]>/<key>.json       # run metadata (commit marker)
+    ~/.cache/repro/<key[:2]>/<key>.sddf   # the trace (interchange)
+    ~/.cache/repro/<key[:2]>/<key>.cols   # its columns, binary
+    ~/.cache/repro/<key[:2]>/<key>.json   # run metadata (commit marker)
 
 :func:`store` writes them in that order, each atomically (temp file +
 ``os.replace``), so a torn write can never produce a loadable entry.
 The sidecar records the SDDF file's byte length and SHA-256; the
 column file (:mod:`repro.pablo.colfile`) names the SHA-256 of the SDDF
 it was derived from.  :func:`load` checks the SDDF length against the
-sidecar, then builds the trace from the column file when its version
-and SHA-256 match the sidecar's, its dtypes and lengths are right, its
-string tables are sorted and its codes index them.  Otherwise it falls
-back to the SDDF, the source of truth, but parses only bytes that
-match the sidecar's SHA-256, and then re-derives the column file from
-the parsed trace, so the next load reads columns again.  (An entry
-whose column file has an older format is upgraded this way on its
-first load, without a re-simulation.)  When the bytes do not match or
-do not parse, it quarantines the entry.  Either trace must have the
-sidecar's event count.  :func:`stored_sddf`, which serves
-``GET /v1/runs/<id>/result``, and :func:`stored_entry`, which
+sidecar, then builds the trace from the column file when its CRC-32,
+version, SHA-256 (the sidecar's) and length are right, its string
+tables are sorted and its codes index them.  Otherwise it falls back
+to the SDDF, the source of truth, but parses only bytes that match
+the sidecar's SHA-256, and then re-derives the column file from the
+parsed trace, so the next load reads columns again.  (An entry whose
+column file has an older format is upgraded this way on its first
+load, without a re-simulation.  Column-file versions 1 and 2 were
+``.npz`` archives named ``<key>.cols.npz``; an entry that still has
+one finds no ``<key>.cols``, and the load that re-derives it unlinks
+the ``.cols.npz``.  Until then quarantine, eviction and the footprint
+count the leftover as one of the entry's files.)  When the bytes do
+not match or do not parse, it quarantines the entry.  Either trace
+must have the sidecar's event count.  :func:`stored_sddf`, which
+serves ``GET /v1/runs/<id>/result``, and :func:`stored_entry`, which
 ``repro trace`` copies from, return the SDDF bytes as stored after
 checking their length and SHA-256.
 
+A loaded trace's columns are copy-on-write views of the mapped column
+file (see :mod:`repro.pablo.colfile`): a write into one never reaches
+the file.  No writer here changes a file in place: :func:`store` and
+the re-derivation replace files with ``os.replace``, and quarantine,
+eviction and :func:`clear` unlink them, so the bytes under a loaded
+trace never change.  An unlinked file's disk space is freed when the
+last trace mapping it goes.
+
+Hit, miss, store, eviction and quarantine counts go to ``STATS.json``
+at the cache root, which :func:`_bump` updates in place under an
+exclusive ``flock``, so concurrent processes lose no increment.
+
 The cache is size-capped: after every store, least-recently-used
-entries are evicted until the total footprint of all three files fits
-under ``REPRO_CACHE_MAX_BYTES`` (default 2 GiB; ``0`` or negative
-disables the cap).  Recency is the sidecar mtime, refreshed on every
-hit; eviction removes the sidecar first, so an interrupted eviction
-leaves at worst orphaned trace files that can never load as a stale
-entry.  Environment knobs: ``REPRO_CACHE=0`` disables the cache
+entries are evicted until the total footprint of the entries' files
+fits under ``REPRO_CACHE_MAX_BYTES`` (default 2 GiB; ``0`` or
+negative disables the cap).  Recency is the sidecar mtime, refreshed
+on every hit; eviction removes the sidecar first, so an interrupted
+eviction leaves at worst orphaned trace files that can never load as
+a stale entry.  Environment knobs: ``REPRO_CACHE=0`` disables the cache
 entirely; ``REPRO_CACHE_DIR`` relocates it.
 
 ``CACHE_EPOCH`` is 2 since entries gained the column file and the
@@ -72,9 +88,15 @@ from repro.pablo.colfile import read_columns, write_columns
 from repro.pablo.sddf import read_sddf, write_sddf
 from repro.pablo.tracer import Trace
 
+try:
+    import fcntl
+except ImportError:  # non-POSIX: STATS.json is updated unlocked
+    fcntl = None  # type: ignore[assignment]
+
 #: Bump this whenever simulator behaviour changes in a way the key
 #: fields cannot see (e.g. a PFS scheduling fix), or the entry layout
-#: changes: it invalidates every previously cached run at once.  2:
+#: changes so that a load cannot upgrade an old entry from its SDDF
+#: file: it invalidates every previously cached run at once.  2:
 #: entries gained the column file and the sidecar's ``sddf_bytes`` and
 #: ``sddf_sha256``, which epoch-1 entries lack.
 CACHE_EPOCH = 2
@@ -108,8 +130,14 @@ def _stats_path() -> Path:
 
 def _bump(**deltas: int) -> None:
     """Add ``deltas`` to the session counters and the persistent
-    sidecar.  Best-effort and race-tolerant: a torn or concurrent
-    update can lose increments but never corrupts the cache itself."""
+    sidecar.
+
+    The sidecar is updated in place under an exclusive ``flock``: read,
+    add, write from offset 0, truncate to the new length.  Concurrent
+    processes therefore lose no increment (where ``fcntl`` is missing
+    the same update runs unlocked).  A crash in the middle of the write
+    can leave a file that reads as zeros; any ``OSError`` is ignored,
+    so the counters never break a cache operation."""
     for key, delta in deltas.items():
         _SESSION[key] += delta
     if not cache_enabled():
@@ -117,35 +145,65 @@ def _bump(**deltas: int) -> None:
     path = _stats_path()
     try:
         try:
-            totals = json.loads(path.read_text())
-            if not isinstance(totals, dict):
-                totals = {}
-        except (OSError, ValueError):
-            totals = {}
-        for key in _STAT_KEYS:
-            current = totals.get(key)
-            if not isinstance(current, int):
-                current = 0
-            totals[key] = current + deltas.get(key, 0)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, lambda f: json.dump(totals, f))
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            totals = _read_totals(fd)
+            for key, delta in deltas.items():
+                totals[key] += delta
+            data = json.dumps(totals).encode()
+            # lseek + write, not pwrite, which non-POSIX platforms lack.
+            os.lseek(fd, 0, os.SEEK_SET)
+            os.write(fd, data)
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)  # releases the lock
     except OSError:
         pass
 
 
-def persistent_stats() -> dict:
-    """Since-creation counters from the sidecar (zeros if absent)."""
+def _read_totals(fd: int) -> dict:
+    """The counters in the open sidecar ``fd``: zero for a key that is
+    missing or not an ``int``, and for every key if the file is not a
+    JSON object."""
+    data = b""
+    while True:
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            break
+        data += chunk
     try:
-        totals = json.loads(_stats_path().read_text())
-        if not isinstance(totals, dict):
-            totals = {}
-    except (OSError, ValueError):
+        totals = json.loads(data)
+    except ValueError:
+        totals = None
+    if not isinstance(totals, dict):
         totals = {}
     return {
-        key: totals.get(key, 0) if isinstance(totals.get(key, 0), int)
-        else 0
+        key: totals[key] if isinstance(totals.get(key), int) else 0
         for key in _STAT_KEYS
     }
+
+
+def persistent_stats() -> dict:
+    """Since-creation counters from the sidecar (zeros if absent),
+    read under a shared ``flock`` so a concurrent :func:`_bump` is
+    never seen half-written."""
+    try:
+        fd = os.open(_stats_path(), os.O_RDONLY)
+    except OSError:
+        return {key: 0 for key in _STAT_KEYS}
+    try:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_SH)
+        return _read_totals(fd)
+    except OSError:
+        return {key: 0 for key in _STAT_KEYS}
+    finally:
+        os.close(fd)
 
 
 def stats() -> dict:
@@ -240,13 +298,21 @@ def _paths(key: str) -> tuple:
 def _columns_path(path: Path) -> Path:
     """The column file of the entry that ``path`` (its SDDF file or
     sidecar) belongs to."""
+    return path.with_suffix(".cols")
+
+
+def _npz_columns_path(path: Path) -> Path:
+    """Where column-file versions 1 and 2 lived (``.npz`` archives)."""
     return path.with_suffix(".cols.npz")
 
 
 def _entry_files(meta_path: Path) -> tuple:
-    """An entry's files, sidecar first (the order eviction unlinks)."""
+    """An entry's files, sidecar first (the order eviction unlinks),
+    including an old ``.cols.npz`` that the entry's next load
+    replaces."""
     trace_path = meta_path.with_suffix(".sddf")
-    return meta_path, trace_path, _columns_path(trace_path)
+    return (meta_path, trace_path, _columns_path(trace_path),
+            _npz_columns_path(trace_path))
 
 
 def _entry_size(meta_path: Path) -> int:
@@ -374,6 +440,7 @@ def _read_trace(trace_path: Path, meta: dict) -> Trace:
                 lambda f: write_columns(trace, f, meta["sddf_sha256"]),
                 binary=True,
             )
+            _npz_columns_path(trace_path).unlink(missing_ok=True)
         except OSError:
             pass
     return trace
@@ -572,8 +639,8 @@ def clear() -> int:
     if not root.exists():
         return 0
     for path in root.rglob("*"):
-        if path.is_file() and path.suffix in (".sddf", ".npz", ".json",
-                                              ".tmp"):
+        if path.is_file() and path.suffix in (".sddf", ".cols", ".npz",
+                                              ".json", ".tmp"):
             try:
                 path.unlink()
                 removed += 1

@@ -11,17 +11,18 @@ import json
 import os
 import shutil
 import struct
-import zipfile
 
 import numpy as np
 import pytest
 
 from repro.apps import run_escat, scaled_escat_problem
 from repro.core.breakdown import io_time_breakdown
+from repro.errors import TraceError
 from repro.experiments import cache
 from repro.experiments import runner
-from repro.pablo.colfile import read_columns
+from repro.pablo.colfile import read_columns, write_columns
 from repro.pablo.sddf import write_sddf
+from repro.pablo.tracer import COLUMNS, STRING_COLUMNS, Trace
 from repro.sim import Engine
 
 SEED = 1996
@@ -157,47 +158,70 @@ def test_corrupt_cache_entries_miss_and_quarantine(tmp_path, monkeypatch):
     assert not trace_path.exists()
 
 
+#: Bytes per item of each stored column, in file order.
+_ITEMSIZE = dict(zip(COLUMNS, (8, 1, 4, 8, 8, 8, 8, 4, 4)))
+
+
 def _flip_start_byte(columns_path):
-    """Flip the last data byte of the column file's ``start`` member."""
-    with zipfile.ZipFile(columns_path) as archive:
-        info = archive.getinfo("start.npy")
+    """Flip the last byte of the column file's ``start`` column."""
     with open(columns_path, "r+b") as stream:
-        stream.seek(info.header_offset + 26)
-        name_len, extra_len = struct.unpack("<HH", stream.read(4))
-        at = info.header_offset + 30 + name_len + extra_len + info.file_size - 1
+        _magic, _crc, header_len = struct.unpack("<8sII", stream.read(16))
+        records = json.loads(stream.read(header_len))["records"]
+        at = 16 + header_len
+        for name in COLUMNS[:COLUMNS.index("start")]:
+            at += -(-records * _ITEMSIZE[name] // 8) * 8
+        at += records * _ITEMSIZE["start"] - 1
         stream.seek(at)
         flipped = stream.read(1)[0] ^ 0xFF
         stream.seek(at)
         stream.write(bytes([flipped]))
 
 
-def _negative_phase_code(columns_path):
+def _write_defective(columns_path, trace, digest, codes=None, table=None):
+    """Write ``trace`` as the column file with its ``phase`` codes or
+    table replaced.  ``Trace.from_columns`` passes codes and tables
+    through unchecked, and ``write_columns`` computes a valid CRC, so
+    only the check under test rejects the file."""
+    columns = [trace.codes(name) if name in STRING_COLUMNS
+               else trace.column(name) for name in COLUMNS]
+    tables = {name: trace.table(name) for name in STRING_COLUMNS}
+    if codes is not None:
+        columns[COLUMNS.index("phase")] = codes
+    if table is not None:
+        tables["phase"] = table
+    defective = Trace.from_columns(*columns, meta=trace.meta, sort=False,
+                                   validate=False, tables=tables)
+    write_columns(defective, columns_path, digest)
+
+
+def _negative_phase_code(columns_path, trace, digest):
     """Rewrite the column file with its first ``phase`` code at -1."""
-    with np.load(columns_path, allow_pickle=False) as archive:
-        members = {name: archive[name] for name in archive.files}
-    members["phase"] = members["phase"].copy()
-    members["phase"][0] = -1
-    np.savez(columns_path, **members)
+    codes = trace.codes("phase").copy()
+    codes[0] = -1
+    _write_defective(columns_path, trace, digest, codes=codes)
 
 
-def _edit_phase_table(columns_path, edit):
+def _edit_phase_table(columns_path, trace, digest, edit):
     """Rewrite the column file with ``edit`` applied to its ``phase``
     table (the codes stay as they are)."""
-    with np.load(columns_path, allow_pickle=False) as archive:
-        members = {name: archive[name] for name in archive.files}
-    header = json.loads(members["header"].tobytes())
-    header["tables"]["phase"] = edit(header["tables"]["phase"])
-    members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-    np.savez(columns_path, **members)
+    _write_defective(columns_path, trace, digest,
+                     table=edit(trace.table("phase")))
 
 
 def _raise(*args, **kwargs):
     raise AssertionError("called")
 
 
+def _sddf_bytes(trace):
+    out = io.StringIO()
+    write_sddf(trace, out)
+    return out.getvalue().encode()
+
+
 @pytest.mark.parametrize(
     "defect", ["missing", "flipped-byte", "other-entry", "negative-code",
-               "unsorted-table", "duplicate-table-entry"]
+               "unsorted-table", "duplicate-table-entry", "truncated",
+               "trailing-byte", "zip-file"]
 )
 def test_column_file_defects_fall_back_to_sddf(tmp_path, monkeypatch, defect):
     # The column file is derived from the SDDF file: when it is
@@ -207,7 +231,8 @@ def test_column_file_defects_fall_back_to_sddf(tmp_path, monkeypatch, defect):
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
     key = cache.run_key(kind=f"cols-{defect}", problem=problem)
-    cache.store(key, run_escat("A", problem, seed=SEED))
+    result = run_escat("A", problem, seed=SEED)
+    cache.store(key, result)
     trace_path, meta_path = cache._paths(key)
     columns_path = cache._columns_path(trace_path)
     digest = json.loads(meta_path.read_text())["sddf_sha256"]
@@ -223,22 +248,30 @@ def test_column_file_defects_fall_back_to_sddf(tmp_path, monkeypatch, defect):
         other_trace, _ = cache._paths(other)
         shutil.copyfile(cache._columns_path(other_trace), columns_path)
     elif defect == "negative-code":
-        _negative_phase_code(columns_path)
+        _negative_phase_code(columns_path, result.trace, digest)
     elif defect == "unsorted-table":
-        _edit_phase_table(columns_path, lambda table: table[::-1])
-    else:
+        _edit_phase_table(columns_path, result.trace, digest,
+                          lambda table: table[::-1])
+    elif defect == "duplicate-table-entry":
         # The codes never reach the duplicate: only the check on the
         # table itself rejects it.
-        _edit_phase_table(columns_path, lambda table: table + table[-1:])
+        _edit_phase_table(columns_path, result.trace, digest,
+                          lambda table: table + table[-1:])
+    elif defect == "truncated":
+        os.truncate(columns_path, columns_path.stat().st_size - 1)
+    elif defect == "trailing-byte":
+        with open(columns_path, "ab") as stream:
+            stream.write(b"\0")
+    else:
+        # A version-2 archive under the version-3 name.
+        with open(columns_path, "wb") as stream:
+            np.savez(stream, start=result.trace.column("start"))
     if defect != "missing":
-        # A CRC error is zipfile's own exception, not a TraceError.
-        with pytest.raises(Exception):
+        with pytest.raises(TraceError):
             read_columns(columns_path, digest)
     loaded = cache.load(key)
     assert loaded is not None
-    out = io.StringIO()
-    write_sddf(loaded.trace, out)
-    assert out.getvalue().encode() == trace_path.read_bytes()
+    assert _sddf_bytes(loaded.trace) == trace_path.read_bytes()
     # The load re-derived the column file, so the next load reads it
     # and parses no SDDF.
     rederived = read_columns(columns_path, digest)
@@ -246,9 +279,67 @@ def test_column_file_defects_fall_back_to_sddf(tmp_path, monkeypatch, defect):
     monkeypatch.setattr(cache, "read_sddf", _raise)
     again = cache.load(key)
     assert again is not None
-    out = io.StringIO()
-    write_sddf(again.trace, out)
-    assert out.getvalue().encode() == trace_path.read_bytes()
+    assert _sddf_bytes(again.trace) == trace_path.read_bytes()
+
+
+def test_npz_column_file_is_replaced_on_first_load(tmp_path, monkeypatch):
+    # An entry from before the flat column file has <key>.cols.npz and
+    # no <key>.cols: its first load parses the SDDF, writes <key>.cols
+    # and unlinks the archive, without a re-simulation.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
+    key = cache.run_key(kind="cols-npz", problem=problem)
+    cache.store(key, run_escat("A", problem, seed=SEED))
+    trace_path, meta_path = cache._paths(key)
+    columns_path = cache._columns_path(trace_path)
+    npz_path = trace_path.with_suffix(".cols.npz")
+    columns_path.unlink()
+    npz_path.write_bytes(b"PK\x03\x04 an old archive")
+    assert npz_path in cache._entry_files(meta_path)
+    digest = json.loads(meta_path.read_text())["sddf_sha256"]
+    loaded = cache.load(key)
+    assert loaded is not None
+    assert len(read_columns(columns_path, digest)) == len(loaded.trace)
+    assert not npz_path.exists()
+    monkeypatch.setattr(cache, "read_sddf", _raise)
+    again = cache.load(key)
+    assert again is not None
+    assert _sddf_bytes(again.trace) == trace_path.read_bytes()
+
+
+def test_loaded_columns_are_private_views_of_the_column_file(
+    tmp_path, monkeypatch
+):
+    # A load maps the column file copy-on-write: the trace outlives the
+    # entry's files, and a write into a column never reaches the file.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.setattr(cache, "read_sddf", _raise)
+    problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
+    key = cache.run_key(kind="cols-mapped", problem=problem)
+    result = run_escat("A", problem, seed=SEED)
+    cache.store(key, result)
+    trace_path, meta_path = cache._paths(key)
+    columns_path = cache._columns_path(trace_path)
+    stored = trace_path.read_bytes()
+    digest = json.loads(meta_path.read_text())["sddf_sha256"]
+
+    loaded = cache.load(key)
+    assert loaded is not None
+    cache.clear()
+    assert not any(path.exists() for path in cache._entry_files(meta_path))
+    assert _sddf_bytes(loaded.trace) == stored
+
+    cache.store(key, result)
+    loaded = cache.load(key)
+    assert loaded is not None
+    start = loaded.trace.column("start")
+    start[0] = start[0] + 1.0
+    assert len(read_columns(columns_path, digest)) == len(result.trace)
+    fresh = cache.load(key)
+    assert fresh is not None
+    assert _sddf_bytes(fresh.trace) == stored
 
 
 def test_fallback_quarantines_sddf_bytes_the_sidecar_does_not_name(

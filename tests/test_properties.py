@@ -283,7 +283,7 @@ def test_construction_routes_build_identical_columns(events, meta):
         path = os.path.join(tmp, "trace.sddf")
         write_sddf(reference, path)
         reread = read_sddf(path)
-        columns_path = os.path.join(tmp, "trace.cols.npz")
+        columns_path = os.path.join(tmp, "trace.cols")
         write_columns(reference, columns_path, "0" * 64)
         reloaded = read_columns(columns_path, "0" * 64)
     assert reloaded.meta == reread.meta

@@ -9,9 +9,14 @@ gate behind ``repro bench --check``.
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import telemetry
 from repro.apps import run_escat, scaled_escat_problem
 from repro.core.breakdown import io_time_breakdown
@@ -403,6 +408,70 @@ def test_cache_stats_disabled_cache_skips_sidecar(tmp_path, monkeypatch):
     # Disabled cache: no lookup happened at all, nothing written.
     assert after == before
     assert not (tmp_path / cache.STATS_NAME).exists()
+
+
+#: Run in each of two processes: import, report ready, wait for the
+#: go line, then bump ``hits`` 300 times.
+_BUMPER = """
+import sys
+from repro.experiments import cache
+print("ready", flush=True)
+sys.stdin.readline()
+for _ in range(300):
+    cache._bump(hits=1)
+"""
+
+
+def test_cache_stats_concurrent_bumps_lose_no_increment(tmp_path):
+    # STATS.json is updated in place under flock; an unlocked
+    # read-modify-write loses increments once two processes overlap.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+    env.pop("REPRO_CACHE", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    bumpers = [
+        subprocess.Popen([sys.executable, "-c", _BUMPER], env=env,
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                         text=True)
+        for _ in range(2)
+    ]
+    try:
+        for bumper in bumpers:
+            assert bumper.stdout.readline() == "ready\n"
+        for bumper in bumpers:
+            bumper.stdin.write("go\n")
+            bumper.stdin.flush()
+        for bumper in bumpers:
+            bumper.communicate(timeout=120)
+            assert bumper.returncode == 0
+    finally:
+        for bumper in bumpers:
+            if bumper.poll() is None:
+                bumper.kill()
+                bumper.wait()
+    totals = json.loads((tmp_path / cache.STATS_NAME).read_text())
+    assert totals["hits"] == 600
+
+
+@pytest.mark.parametrize("locked", [True, False])
+def test_cache_stats_bump_replaces_longer_junk(tmp_path, monkeypatch,
+                                               locked):
+    # The counters are shorter than the junk they overwrite in place:
+    # the truncate must drop the junk's tail.  Without fcntl (non-POSIX
+    # platforms) the same update runs unlocked.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    if not locked:
+        monkeypatch.setattr(cache, "fcntl", None)
+    path = tmp_path / cache.STATS_NAME
+    path.write_text("junk " * 200)
+    assert cache.persistent_stats()["hits"] == 0
+    cache._bump(hits=1)
+    totals = json.loads(path.read_text())
+    assert totals == {"hits": 1, "misses": 0, "stores": 0, "evictions": 0,
+                      "quarantined": 0}
+    assert cache.persistent_stats() == totals
 
 
 # ---------------------------------------------------------------------------
