@@ -38,11 +38,11 @@ SCOPED_PACKAGES = frozenset(
         # justified suppressions).
         "sweep",
         # Deliberately NOT scoped: ``serve`` (the HTTP service, job
-        # manager, client, and load generator).  Serving is an
-        # operational layer — request latencies, socket timeouts,
-        # thread scheduling — whose reads never feed simulated state;
-        # the runs it schedules execute inside the scoped packages
-        # above, where the determinism rules already apply.
+        # manager and client).  Serving is an operational layer —
+        # request latencies, socket timeouts, thread scheduling — whose
+        # reads never feed simulated state; the runs it schedules
+        # execute inside the scoped packages above, where the
+        # determinism rules already apply.
     }
 )
 

@@ -16,12 +16,11 @@ Subcommands
     Run an application version and dump its Pablo trace as SDDF.
 ``repro counters <app> <version> [--top N] [--fast]``
     Darshan-style per-file counter report for an application run.
-``repro bench [--quick] [--check] [--serve-output PATH] [--serve-only]``
-    Run the batched-datapath suite (emits BENCH_datapath.json) and,
-    opt-in, the serve traffic suite.  ``--check`` compares the fresh
-    run against the committed ``BENCH_*.json`` baselines and exits
-    non-zero on a >15% regression in any in-run speedup ratio or an
-    unmet committed criterion.
+``repro bench [--quick] [--check] [--datapath-output PATH]``
+    Run the batched-datapath suite (emits BENCH_datapath.json).
+    ``--check`` compares the fresh run against the committed
+    ``BENCH_datapath.json`` and exits non-zero on a >15% regression in
+    any in-run speedup ratio or an unmet committed criterion.
 ``repro metrics <app> <version> [--fast] [--top N] [--json PATH]``
     Run one application fresh with telemetry enabled and print the
     run's observability summary (busiest servers/disks, cache
@@ -118,65 +117,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.experiments import perfbench
 
-    if args.serve_only and not args.serve_output:
-        raise ReproError(
-            "--serve-only needs a --serve-output path"
-        )
-    datapath_output = "" if args.serve_only else args.datapath_output
-    for output in (datapath_output, args.serve_output):
-        out_dir = os.path.dirname(output) or "."
-        if output and not os.path.isdir(out_dir):
-            # Fail before spending half a minute benchmarking.
-            raise ReproError(f"output directory does not exist: {out_dir}")
-    baselines = {}
+    output = args.datapath_output
+    out_dir = os.path.dirname(output) or "."
+    if not output or not os.path.isdir(out_dir):
+        # Fail before spending half a minute benchmarking.
+        raise ReproError(f"cannot write the bench report to {output!r}")
+    baseline = None
     if args.check:
-        # Load baselines *before* the fresh reports overwrite them:
-        # the default output paths are the committed baseline paths.
-        if datapath_output:
-            baselines["datapath"] = perfbench.load_report(
-                args.datapath_baseline
-            )
-        if args.serve_output:
-            baselines["serve"] = perfbench.load_report(
-                args.serve_baseline
-            )
-    dp_payload = None
-    if datapath_output:
-        dp_payload = perfbench.run_datapath_suite(quick=args.quick)
-        perfbench.write_report(dp_payload, datapath_output)
-        print(perfbench.render_datapath(dp_payload))
-        print(f"wrote {datapath_output}")
-    serve_payload = None
-    if args.serve_output:
-        from repro.serve import loadgen
-
-        serve_payload = loadgen.run_serve_suite(quick=args.quick)
-        perfbench.write_report(serve_payload, args.serve_output)
-        print(loadgen.render_serve(serve_payload))
-        print(f"wrote {args.serve_output}")
-    if not args.check:
+        # Load the baseline *before* the fresh report overwrites it:
+        # the default output path is the committed baseline path.
+        baseline = perfbench.load_report(args.datapath_baseline)
+    payload = perfbench.run_datapath_suite(quick=args.quick)
+    perfbench.write_report(payload, output)
+    print(perfbench.render_datapath(payload))
+    print(f"wrote {output}")
+    if baseline is None:
         return 0
-    failed = False
-    for current, baseline in (
-        (dp_payload, baselines.get("datapath")),
-        (serve_payload, baselines.get("serve")),
-    ):
-        if current is None or baseline is None:
-            continue
-        report = perfbench.check_regressions(current, baseline)
-        print(perfbench.render_check(report))
-        failed = failed or report["regressed"]
-        # Absolute gate: the committed baseline's own criteria must
-        # hold on the fresh run, not just "no worse than committed".
-        criteria = perfbench.check_criteria(current, baseline)
-        print(perfbench.render_criteria(criteria))
-        if criteria["unmet"]:
-            if args.allow_red_baseline:
-                print("warning: unmet criteria acknowledged"
-                      " (--allow-red-baseline)")
-            else:
-                failed = True
-    return 1 if failed else 0
+    report = perfbench.check_regressions(payload, baseline)
+    print(perfbench.render_check(report))
+    # Absolute gate: the committed baseline's own criteria must hold
+    # on the fresh run, not just "no worse than committed".
+    criteria = perfbench.check_criteria(payload, baseline)
+    print(perfbench.render_criteria(criteria))
+    return 1 if report["regressed"] or criteria["unmet"] else 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -630,30 +593,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
-        "bench", help="run the in-run performance gate suites"
+        "bench", help="run the in-run datapath performance gate"
     )
     p.add_argument("--quick", action="store_true",
                    help="smaller repeats; finishes in under a minute")
     p.add_argument("--datapath-output", default="BENCH_datapath.json",
-                   help="data-path report path (empty string skips it)")
+                   help="data-path report path")
     p.add_argument("--check", action="store_true",
-                   help="compare against committed baselines; exit 1 "
+                   help="compare against the committed baseline; exit 1 "
                         "on a >15%% speedup-ratio regression or an "
                         "unmet committed criterion")
     p.add_argument("--datapath-baseline", default="BENCH_datapath.json",
                    help="data-path baseline report for --check")
-    p.add_argument("--allow-red-baseline", action="store_true",
-                   help="downgrade unmet committed criteria to a "
-                        "warning (acknowledged known-red baseline)")
-    p.add_argument("--serve-output", default="", metavar="PATH",
-                   help="also run the serve traffic suite and write "
-                        "its report here (e.g. BENCH_serve.json; "
-                        "boots a local server, so it is opt-in)")
-    p.add_argument("--serve-baseline", default="BENCH_serve.json",
-                   help="serve baseline report for --check")
-    p.add_argument("--serve-only", action="store_true",
-                   help="skip the datapath suite; run only the "
-                        "serve suite (needs --serve-output)")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser(

@@ -34,12 +34,13 @@ the sidecar's SHA-256, and then re-derives the column file from the
 parsed trace, so the next load reads columns again.  (An entry whose
 column file has an older format is upgraded this way on its first
 load, without a re-simulation.  Column-file versions 1 and 2 were
-``.npz`` archives named ``<key>.cols.npz``; an entry that still has
-one finds no ``<key>.cols``, and the load that re-derives it unlinks
-the ``.cols.npz``.  Until then quarantine, eviction and the footprint
-count the leftover as one of the entry's files.)  When the bytes do
-not match or do not parse, it quarantines the entry.  Either trace
-must have the sidecar's event count.  :func:`stored_sddf`, which
+``.npz`` archives named ``<key>.cols.npz``.  Every load unlinks such a
+leftover, so an entry counts its columns once against the size cap;
+an older checkout sharing the cache then re-derives its ``.npz`` on
+each of its own loads.  Until a load, quarantine, eviction and the
+footprint count the leftover as one of the entry's files.)  When the
+bytes do not match or do not parse, it quarantines the entry.  Either
+trace must have the sidecar's event count.  :func:`stored_sddf`, which
 serves ``GET /v1/runs/<id>/result``, and :func:`stored_entry`, which
 ``repro trace`` copies from, return the SDDF bytes as stored after
 checking their length and SHA-256.
@@ -309,7 +310,7 @@ def _npz_columns_path(path: Path) -> Path:
 def _entry_files(meta_path: Path) -> tuple:
     """An entry's files, sidecar first (the order eviction unlinks),
     including an old ``.cols.npz`` that the entry's next load
-    replaces."""
+    unlinks."""
     trace_path = meta_path.with_suffix(".sddf")
     return (meta_path, trace_path, _columns_path(trace_path),
             _npz_columns_path(trace_path))
@@ -417,8 +418,9 @@ def _read_trace(trace_path: Path, meta: dict) -> Trace:
     from the SDDF file, which stays the source of truth) the SDDF bytes
     must match the sidecar's SHA-256; the trace is parsed from those
     bytes and the column file re-derived from it, so the next load
-    reads columns again.  Raises ``ValueError`` for bytes that do not
-    match, or a trace without the sidecar's event count.
+    reads columns again.  Either way a leftover ``.cols.npz`` is
+    unlinked.  Raises ``ValueError`` for bytes that do not match, or a
+    trace without the sidecar's event count.
     """
     columns_path = _columns_path(trace_path)
     try:
@@ -433,16 +435,16 @@ def _read_trace(trace_path: Path, meta: dict) -> Trace:
         raise ValueError(
             f"trace has {len(trace)} events, sidecar says {meta['events']}"
         )
-    if rederive:
-        try:
+    try:
+        if rederive:
             _atomic_write(
                 columns_path,
                 lambda f: write_columns(trace, f, meta["sddf_sha256"]),
                 binary=True,
             )
-            _npz_columns_path(trace_path).unlink(missing_ok=True)
-        except OSError:
-            pass
+        _npz_columns_path(trace_path).unlink(missing_ok=True)
+    except OSError:
+        pass
     return trace
 
 

@@ -16,9 +16,8 @@ event-stepped oracle (``=0``):
 
 ``repro bench --check`` judges those ratios against the committed
 baseline (:func:`check_regressions`) and the committed criteria
-(:func:`check_criteria`); the serve suite
-(:mod:`repro.serve.loadgen`) contributes absolute floors.  Absolute
-end-to-end and per-layer numbers come from the repository benchmark
+(:func:`check_criteria`).  Absolute end-to-end and per-layer numbers,
+the serve layer's included, come from the repository benchmark
 (``perfbench/run.py``), not from here.
 
 Nothing here affects simulation results; determinism is asserted
@@ -313,11 +312,6 @@ _CHECK_METRICS = {
             True,
         ),
     ),
-    # The serve suite has no in-run fast/legacy ratio to compare — its
-    # absolute rates track the host machine, so the relative gate
-    # compares nothing for it (its conservative absolute criteria
-    # below carry its whole gate).
-    "repro serve traffic": (),
 }
 
 
@@ -441,10 +435,6 @@ _CRITERIA_METRICS = {
         "contended_end_to_end_speedup_min": (
             ("contended_end_to_end", "speedup_vs_legacy_datapath"), True,
         ),
-    },
-    "repro serve traffic": {
-        "cache_hit_qps_min": (("cache_hit", "qps"), False),
-        "fresh_throughput_min": (("fresh", "throughput_per_s"), False),
     },
 }
 

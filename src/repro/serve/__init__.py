@@ -24,12 +24,6 @@ from repro.serve.jobs import (
     read_serve_journal,
     serve_worker_main,
 )
-from repro.serve.loadgen import (
-    SERVE_CRITERIA,
-    render_serve,
-    run_mix,
-    run_serve_suite,
-)
 from repro.serve.server import ReproServeServer
 from repro.serve.spec import ALLOWED_KEYS, RunRequest
 
@@ -40,15 +34,11 @@ __all__ = [
     "JobManager",
     "ReproServeServer",
     "RunRequest",
-    "SERVE_CRITERIA",
     "STATUS_ERRORS",
     "ServeClient",
     "ServeJournalState",
     "execute_serve_point",
     "job_payload",
     "read_serve_journal",
-    "render_serve",
-    "run_mix",
-    "run_serve_suite",
     "serve_worker_main",
 ]

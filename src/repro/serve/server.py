@@ -223,7 +223,7 @@ class _Handler(BaseHTTPRequestHandler):
 class ReproServeServer:
     """The assembled service: job manager + threaded HTTP server.
 
-    ``port=0`` binds an ephemeral port (tests, load generator); the
+    ``port=0`` binds an ephemeral port (tests, perfbench's serve-mix); the
     bound address is readable from :attr:`host`/:attr:`port` after
     construction.
     """

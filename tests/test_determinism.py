@@ -308,6 +308,29 @@ def test_npz_column_file_is_replaced_on_first_load(tmp_path, monkeypatch):
     assert _sddf_bytes(again.trace) == trace_path.read_bytes()
 
 
+def test_npz_leftover_next_to_column_file_is_unlinked(tmp_path, monkeypatch):
+    # An older checkout sharing the cache re-derives <key>.cols.npz
+    # next to <key>.cols.  A load that reads <key>.cols unlinks the
+    # archive, so the entry counts its columns once against the cap.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.setattr(cache, "read_sddf", _raise)
+    problem = scaled_escat_problem(n_nodes=16, records_per_channel=32)
+    key = cache.run_key(kind="cols-npz-leftover", problem=problem)
+    cache.store(key, run_escat("A", problem, seed=SEED))
+    trace_path, meta_path = cache._paths(key)
+    npz_path = trace_path.with_suffix(".cols.npz")
+    npz_path.write_bytes(b"PK\x03\x04 an old archive")
+    loaded = cache.load(key)
+    assert loaded is not None
+    assert _sddf_bytes(loaded.trace) == trace_path.read_bytes()
+    assert not npz_path.exists()
+    files = (meta_path, trace_path, cache._columns_path(trace_path))
+    assert cache._entry_size(meta_path) == sum(
+        path.stat().st_size for path in files
+    )
+
+
 def test_loaded_columns_are_private_views_of_the_column_file(
     tmp_path, monkeypatch
 ):

@@ -4,7 +4,9 @@ Covers the tentpole contracts: spec validation through the sweep
 grid's machinery, the cache-backed hot path (repeat queries never
 simulate), concurrent dedup (N clients, one simulation), byte-identity
 of served SDDF with the CLI trace path, the shared status serializer,
-graceful SIGTERM drain, and SIGKILL-resumable journals.
+graceful SIGTERM drain, SIGKILL-resumable journals, and the failure
+paths (a failed or crashed job leaves the server usable, a second stop
+is safe).
 """
 
 import json
@@ -401,6 +403,52 @@ def test_non_object_journal_line_is_corruption(tmp_path, where):
         read_serve_journal(path)
 
 
+# -- failure paths --------------------------------------------------------
+
+def _run(client, spec):
+    return client.wait(client.submit(spec)["job"], timeout=60.0)
+
+
+def test_failed_job_leaves_server_usable(serve_pair):
+    server, client = serve_pair
+    doc = _run(client, {"kind": "probe", "version": "error", "seed": 91})
+    assert doc["state"] == "failed"
+    assert "ZeroDivisionError" in doc["error"]
+    assert server.manager.counters["failed"] == 1
+    spec = {"kind": "probe", "version": "ok", "seed": 92}
+    assert _run(client, spec)["state"] == "done"
+    again = client.submit(spec)
+    assert again["state"] == "done"
+    assert again["cache_hit"] is True
+
+
+def test_crashed_job_fails_and_worker_respawns(serve_pair):
+    server, client = serve_pair
+    doc = _run(client, {"kind": "probe", "version": "crash", "seed": 93})
+    assert doc["state"] == "failed"
+    assert "worker process died mid-job" in doc["error"]
+    # Every attempt (the first and its one retry) killed its worker.
+    assert doc["attempts"] == server.manager.retries + 1 == 2
+    assert server.manager.counters["worker_crashes"] == doc["attempts"]
+    ok = _run(client, {"kind": "probe", "version": "ok", "seed": 94})
+    assert ok["state"] == "done"
+    assert server.manager.counters["executed"] == 1
+    workers = server.status()["workers"]
+    assert workers["alive"] == 2
+    assert workers["spawned"] == 2 + doc["attempts"]  # one per crash
+
+
+def test_second_stop_is_safe(serve_pair, tmp_path):
+    server, client = serve_pair
+    doc = _run(client, {"kind": "probe", "version": "ok", "seed": 95})
+    assert server.stop(drain_timeout=30.0)
+    assert server.stop(drain_timeout=30.0)
+    state = read_serve_journal(tmp_path / "serve.jsonl")
+    assert state is not None
+    assert set(state.done) == {doc["job"]}
+    assert len(state.shutdowns) == 1
+
+
 # -- lint scope (satellite 6) ---------------------------------------------
 
 def test_serve_is_outside_determinism_scope():
@@ -434,10 +482,6 @@ def test_parser_accepts_serve_commands():
     assert args.job == "j00001-abc" and args.events
     args = parser.parse_args(["sweep", "status", "j.jsonl", "--json"])
     assert args.json
-    args = parser.parse_args(
-        ["bench", "--serve-only", "--serve-output", "B.json"]
-    )
-    assert args.serve_only and args.serve_output == "B.json"
 
 
 def test_submit_cli_against_live_server(serve_pair, tmp_path, capsys):

@@ -1,11 +1,11 @@
-"""Tests for the serve client's typed error mapping and the load
-generator (satellite: 400/404/409/503 each raise their exception
-class, connection-refused maps to ``ServeConnectionError``, and the
-closed-loop load generator produces a gateable payload)."""
+"""Tests for the serve client: its typed error mapping (400/404/409/503
+each raise their exception class, connection-refused maps to
+``ServeConnectionError``) and concurrent clients against one server."""
 
 import io
 import json
 import socket
+import threading
 import urllib.error
 
 import pytest
@@ -18,14 +18,8 @@ from repro.errors import (
     ServeSaturatedError,
     ServeSpecError,
 )
-from repro.experiments import perfbench
 from repro.serve import ReproServeServer, ServeClient
 from repro.serve.client import STATUS_ERRORS
-from repro.serve.loadgen import (
-    SERVE_CRITERIA,
-    _is_hit,
-    run_mix,
-)
 
 
 @pytest.fixture
@@ -150,76 +144,72 @@ def test_status_error_table_is_total():
     }
 
 
-# -- load generator -------------------------------------------------------
+# -- concurrent clients ---------------------------------------------------
 
-def test_hit_schedule_is_exact_and_deterministic():
-    for fraction in (0.0, 0.25, 0.5, 0.8, 1.0):
-        hits = sum(_is_hit(g, fraction) for g in range(200))
-        assert hits == round(200 * fraction)
-    # Stable across calls (no entropy source involved).
-    assert [_is_hit(g, 0.8) for g in range(40)] \
-        == [_is_hit(g, 0.8) for g in range(40)]
+def _drive(url, per_thread):
+    """Run each list of specs on its own thread and client, submitting
+    one spec after the previous one's job ended; returns the terminal
+    job documents and the errors raised."""
+    docs, errors = [], []
+
+    def loop(specs):
+        client = ServeClient(url)
+        for spec in specs:
+            try:
+                doc = client.submit(spec)
+                docs.append(client.wait(doc["job"], timeout=60.0))
+            except Exception as exc:  # noqa: BLE001 - asserted empty
+                errors.append(exc)
+
+    threads = [threading.Thread(target=loop, args=(specs,))
+               for specs in per_thread]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not any(thread.is_alive() for thread in threads)
+    return docs, errors
+
+
+def _probe(seed):
+    return {"kind": "probe", "version": "ok", "seed": seed}
 
 
 def test_run_mix_shapes_and_counts(serve_pair):
+    # Two clients, each alternating a prewarmed hit with a fresh seed.
     server, client = serve_pair
-    hit_spec = {"kind": "probe", "version": "ok", "seed": 700}
-    doc = client.submit(hit_spec)
+    doc = client.submit(_probe(700))
     client.wait(doc["job"], timeout=60.0)
-    out = run_mix(
-        server.url, clients=2, requests_per_client=6,
-        hit_fraction=0.5, hit_spec=hit_spec,
-        fresh_seed_start=710,
+    seeds = [[700, 710, 700, 711, 700, 712], [700, 713, 700, 714, 700, 715]]
+    docs, errors = _drive(
+        server.url, [[_probe(seed) for seed in row] for row in seeds]
     )
-    assert out["requests"] == 12
-    assert out["errors"] == 0
-    assert out["completed"] == 12
-    assert out["cache_hit"]["requests"] == 6
-    assert out["fresh"]["requests"] == 6
-    assert out["cache_hit"]["qps"] > 0
-    assert out["fresh"]["throughput_per_s"] > 0
-    assert out["cache_hit"]["p99_ms"] >= out["cache_hit"]["p50_ms"]
+    assert not errors
+    assert len(docs) == 12
+    assert all(doc["state"] == "done" for doc in docs)
+    assert sum(doc["cache_hit"] for doc in docs) == 6
     # Six distinct fresh seeds -> six simulations, none deduped.
-    assert server.manager.counters["executed"] == 7  # prewarm + 6
-
-
-def test_serve_suite_payload_gates_through_perfbench():
-    # The committed BENCH_serve.json shape, judged by the same
-    # machinery as the other suites (absolute criteria only).
-    payload = {
-        "benchmark": "repro serve traffic",
-        "quick": False,
-        "cache_hit": {"qps": 80.0, "p50_ms": 5.0, "p99_ms": 20.0},
-        "fresh": {"throughput_per_s": 4.0, "p50_ms": 300.0},
-        "criteria": dict(SERVE_CRITERIA),
-    }
-    report = perfbench.check_criteria(payload)
-    assert report["checked"] == 2
-    assert not report["unmet"]
-    red = dict(payload, cache_hit={"qps": 1.0})
-    assert perfbench.check_criteria(red)["unmet"]
-    # The relative gate compares nothing for this suite (absolute
-    # rates track the host), so identical payloads never regress.
-    rel = perfbench.check_regressions(payload, payload)
-    assert rel["compared"] == 0
-    assert not rel["regressed"]
+    counters = server.manager.counters
+    assert counters["executed"] == 7  # prewarm + 6
+    assert counters["dedup_hits"] == 0
+    assert counters["cache_hits"] == 6
 
 
 def test_concurrent_clients_thread_safety(serve_pair):
     # A small burst of mixed traffic from several threads: no errors,
     # every job terminal, counters consistent.
     server, client = serve_pair
-    prewarm = client.submit({"kind": "probe", "version": "ok",
-                             "seed": 800})
+    prewarm = client.submit(_probe(800))
     client.wait(prewarm["job"], timeout=60.0)
-    out = run_mix(
-        server.url, clients=4, requests_per_client=5,
-        hit_fraction=0.8,
-        hit_spec={"kind": "probe", "version": "ok", "seed": 800},
-        fresh_seed_start=810,
-    )
-    assert out["errors"] == 0
-    assert out["completed"] == 20
+    docs, errors = _drive(server.url, [
+        [_probe(800)] * 4 + [_probe(810 + c)] for c in range(4)
+    ])
+    assert not errors
+    assert len(docs) == 20
+    assert all(doc["state"] == "done" for doc in docs)
+    assert server.manager.state_counts() == {
+        "queued": 0, "running": 0, "done": 21, "failed": 0,
+    }
     counters = server.manager.counters
     assert counters["failed"] == 0
     assert counters["done"] >= 20
