@@ -4,10 +4,10 @@ The experiment harness derives everything from a fixed set of
 independent simulations (three ESCAT versions, three PRISM versions,
 the carbon-monoxide run, and the six Figure-1 progression builds).
 ``prewarm`` hands those simulations to the crash-tolerant sweep engine
-(:mod:`repro.experiments.sweep`) as a programmatic point list: a
-work-stealing pool of worker processes persists each result in the
-on-disk cache (:mod:`repro.experiments.cache`), and the parent then
-loads the traces back instead of re-simulating.  Results are
+(:mod:`repro.experiments.sweep`) as a programmatic point list: a pool
+of worker processes persists each result in the on-disk cache
+(:mod:`repro.experiments.cache`), and the parent then loads the
+traces back instead of re-simulating.  Results are
 bit-identical either way — the workers only change *where* the
 deterministic simulation executes.
 

@@ -1,9 +1,10 @@
-"""Crash-tolerant sharded sweep engine.
+"""Crash-tolerant sweep engine.
 
 A declarative grid (:mod:`grid`) expands deterministically into
-points; a work-stealing pool of worker processes (:mod:`scheduler`,
-:mod:`worker`) executes them through the content-addressed run cache,
-surviving worker crashes, per-point timeouts, and driver death; an
+points; a pool of worker processes fed from one FIFO queue
+(:mod:`scheduler`, :mod:`worker`) executes them through the
+content-addressed run cache, surviving worker crashes, per-point
+timeouts, and driver death; an
 append-only journal (:mod:`journal`) makes ``repro sweep resume`` pick
 up after a SIGKILL with zero redundant simulation; and results
 aggregate incrementally into a columnar table (:mod:`aggregate`).

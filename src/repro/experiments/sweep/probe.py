@@ -7,7 +7,8 @@ its "version" string selects a behaviour —
 
 - ``ok`` / ``slow`` — run a tiny (respectively: small) ESCAT
   simulation through the ordinary run cache; ``slow`` exists so tests
-  can construct imbalanced shards and observe work-stealing.
+  can mix cheap and costly points and check that both workers share
+  the costly ones.
 - ``error`` — raise ``ZeroDivisionError`` inside the worker (exercises
   the generic-exception fold in ``run_guarded``).
 - ``crash`` — SIGKILL the worker process mid-point, every attempt
@@ -43,7 +44,7 @@ def _probe_problem(slow: bool):
 
     if slow:
         # A deliberately heavier cell (~10-20x the "ok" probe): enough
-        # for shard-imbalance tests without dominating a suite run.
+        # for load-balance tests without dominating a suite run.
         return scaled_escat_problem(
             n_nodes=8, n_channels=2, records_per_channel=16, n_energies=2,
             cycle_compute=0.05,

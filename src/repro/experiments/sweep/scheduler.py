@@ -1,10 +1,10 @@
-"""The sweep driver: sharded dispatch, stealing, retries, resume.
+"""The sweep driver: one work queue, retries, resume.
 
 Architecture (server/worker split): the driver owns *all* scheduling
-state — per-worker shards, the retry/backoff ledger, run-key
-deduplication, the journal — and workers are stateless executors
-behind private inboxes.  Driver-mediated dispatch is what makes every
-failure class recoverable:
+state — the FIFO queue of pending points, the retry/backoff ledger,
+run-key deduplication, the journal — and workers are stateless
+executors behind private inboxes.  Driver-mediated dispatch is what
+makes every failure class recoverable:
 
 - **Worker crash / OOM-kill.**  Every dispatched point is tracked as
   in-flight against its worker; a worker that dies without answering
@@ -25,21 +25,22 @@ failure class recoverable:
   journaled complete.  (Orphaned workers notice the parent change and
   exit on their own — see :mod:`repro.experiments.sweep.worker`.)
 
-Work-stealing: points are sharded round-robin across workers; an idle
-worker drains its own shard first, then steals from the largest
-remaining shard.  Duplicate points (same run key) never simulate
-twice: the first execution's summary completes all parked duplicates
-driver-side, and repeats across sweeps deduplicate through the
-content-addressed run cache.
+Load balance: every idle worker takes the next point off one FIFO
+queue, so a worker stuck on a slow point never holds back work another
+could do.  Duplicate points (same run key) never simulate twice: the
+first execution's summary completes all parked duplicates driver-side,
+and repeats across sweeps deduplicate through the content-addressed
+run cache.
 """
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import queue
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SweepError
 from repro.experiments.sweep import worker as worker_module
@@ -79,8 +80,8 @@ class SweepTelemetry:
 
     FIELDS = (
         "points_total", "points_done", "points_quarantined",
-        "cache_hits", "dedup_hits", "retries", "steals", "timeouts",
-        "worker_crashes", "workers_spawned", "workers_alive",
+        "cache_hits", "dedup_hits", "retries", "timeouts",
+        "worker_crashes", "workers_spawned",
     )
 
     def __init__(self) -> None:
@@ -212,35 +213,53 @@ class _WorkerSlot:
             pass
 
 
+#: One pool outcome: ``(kind, slot_id, point_id, payload)``.
+Outcome = Tuple[str, int, Optional[str], Any]
+
+
+def outcome_error(kind: str, payload: Any, timeout: Optional[float],
+                  unit: str) -> Tuple[str, Optional[str], bool]:
+    """``(error, traceback, timed_out)`` for a failed pool outcome;
+    ``unit`` names what a worker executes ("point", "job") in the
+    crash message."""
+    if kind == "failed":
+        return (payload.get("error", "unknown failure"),
+                payload.get("traceback"), False)
+    if kind == "timeout":
+        return f"timed out after {timeout}s", None, True
+    if kind == "crashed":
+        return (f"worker process died mid-{unit} (exit code {payload})",
+                None, False)
+    return (f"hard timeout: worker unresponsive past {timeout}s guard",
+            None, True)
+
+
 class WorkerPool:
     """A crash-tolerant pool of worker-process slots behind private
     inboxes — the dispatch substrate shared by the sweep driver and
     the serve layer's job manager.
 
-    The pool owns process *lifecycle* only: spawning, liveness
-    detection, in-place respawn after a crash, hard-deadline kills,
-    and graceful shutdown.  All scheduling policy — what to dispatch,
-    retry budgets, quarantine — stays with the caller, which keeps the
-    pool reusable across very different drivers (a batch sweep that
-    terminates, a long-running service that never does).
+    The pool owns the mechanics of a driver loop: dispatch
+    (:meth:`send`), collecting reports, in-place respawn after a
+    crash and hard-deadline kills (:meth:`poll`), and graceful
+    shutdown.  All scheduling policy — what to dispatch, retry
+    budgets, quarantine, what each outcome means — stays with the
+    caller, which keeps the pool reusable across very different
+    drivers (a batch sweep that terminates, a long-running service
+    that never does).
 
     ``target`` is the worker entrypoint, called as ``target(slot_id,
     inbox, results)`` in a forked process; it defaults to the sweep
     worker's :func:`~repro.experiments.sweep.worker.worker_main`.
-    This is also the remote-dispatch hook: a target that proxies its
-    inbox to another machine (instead of simulating locally) slots in
-    without the pool or any driver changing.
     """
 
-    def __init__(self, size: int, target=None, ctx=None,
-                 name: str = "sweep") -> None:
+    def __init__(self, size: int, target=None, name: str = "sweep") -> None:
         if int(size) < 1:
             raise SweepError(f"worker pool needs >= 1 slot: {size}")
-        self.ctx = ctx if ctx is not None else multiprocessing.get_context()
-        self.results = self.ctx.Queue()
-        self.name = name
+        ctx = multiprocessing.get_context()
+        self.results = ctx.Queue()
         self.slots = [
-            _WorkerSlot(self.ctx, slot_id, self.results, target=target,
+            _WorkerSlot(ctx, slot_id, self.results, target=target,
                         name=name)
             for slot_id in range(int(size))
         ]
@@ -253,20 +272,9 @@ class WorkerPool:
             slot.spawn()
             self.spawned += 1
 
-    def respawn(self, slot: "_WorkerSlot") -> None:
-        slot.respawn()
-        self.spawned += 1
-
     @property
     def alive_count(self) -> int:
         return sum(1 for slot in self.slots if slot.alive)
-
-    def dead_slots(self) -> List["_WorkerSlot"]:
-        """Slots whose process died without answering (crash/OOM)."""
-        return [
-            slot for slot in self.slots
-            if slot.proc is not None and not slot.alive
-        ]
 
     def idle_slots(self) -> List["_WorkerSlot"]:
         return [
@@ -274,28 +282,58 @@ class WorkerPool:
             if slot.inflight is None and slot.alive
         ]
 
-    def overdue_slots(self, now: float) -> List["_WorkerSlot"]:
-        """Slots past their hard deadline (hung beyond the SIGALRM
-        guard); the caller decides what to do with the in-flight id."""
-        return [
-            slot for slot in self.slots
-            if slot.inflight is not None
-            and slot.deadline is not None
-            and now > slot.deadline
-        ]
+    def send(self, slot: "_WorkerSlot", pid: str, message,
+             timeout: Optional[float]) -> None:
+        """Hand ``message``, the work for point ``pid``, to an idle
+        ``slot``.  With a soft ``timeout`` the slot also gets a hard
+        deadline, past which :meth:`poll` kills it."""
+        slot.inflight = pid
+        slot.deadline = (
+            None if timeout is None
+            else _now() + timeout * HARD_TIMEOUT_FACTOR + 1.0
+        )
+        slot.inbox.put(message)
 
-    def kill_and_respawn(self, slot: "_WorkerSlot") -> None:
-        """SIGKILL a hung worker and fork a replacement in its slot."""
-        slot.kill()
-        if slot.proc is not None:
-            slot.proc.join(timeout=5.0)
-        self.respawn(slot)
+    def poll(self, wait: float) -> List[Outcome]:
+        """Wait up to ``wait`` seconds for one worker report and drain
+        the rest, then respawn every dead slot and kill and respawn
+        every slot past its hard deadline.
 
-    def get_nowait(self):
-        return self.results.get_nowait()
-
-    def get(self, timeout: float):
-        return self.results.get(timeout=timeout)
+        Returns the outcomes: ``done``, ``failed`` and ``timeout`` as
+        the worker reported them (each frees its slot), then
+        ``crashed`` (the payload is the exit code) and ``hung``, whose
+        point id is the point the slot had in flight, or ``None`` if
+        the slot was idle.
+        """
+        reports = []
+        try:
+            reports.append(self.results.get(timeout=wait))
+            while True:
+                reports.append(self.results.get(block=False))
+        except queue.Empty:
+            pass
+        outcomes: List[Outcome] = []
+        for kind, slot_id, pid, payload in reports:
+            if kind == "bye":
+                continue
+            slot = self.slots[slot_id]
+            if slot.inflight == pid:
+                slot.inflight = slot.deadline = None
+            outcomes.append((kind, slot_id, pid, payload))
+        now = _now()
+        for slot in self.slots:
+            if not slot.alive:
+                outcomes.append(("crashed", slot.slot_id, slot.inflight,
+                                 slot.proc.exitcode))
+            elif slot.deadline is not None and now > slot.deadline:
+                outcomes.append(("hung", slot.slot_id, slot.inflight, None))
+                slot.kill()
+                slot.proc.join(timeout=5.0)
+            else:
+                continue
+            slot.respawn()
+            self.spawned += 1
+        return outcomes
 
     def close(self, grace: float = 2.0) -> None:
         """Shut every worker down (sentinel, then SIGKILL stragglers)
@@ -331,6 +369,10 @@ class _Scheduler:
             raise SweepError("cannot sweep an empty point list")
         if retries < 0:
             raise SweepError(f"retry budget must be >= 0: {retries}")
+        if timeout is not None and not timeout > 0:
+            raise SweepError(
+                f"per-point timeout must be > 0 seconds: {timeout}"
+            )
         self.points = list(points)
         # Inline (no worker processes) only when the caller *asked*
         # for a serial sweep; a one-point sweep at jobs>=2 still gets
@@ -381,18 +423,12 @@ class _Scheduler:
         self.key_inflight: Dict[str, str] = {}
         self.parked: Dict[str, List[str]] = {}
         self.pending_retry: List[Tuple[float, str]] = []
-
-        # Round-robin shards over the points that still need work.
-        self.shards: List[List[str]] = [[] for _ in range(self.jobs)]
-        todo = [
+        #: FIFO of point ids to dispatch; released duplicates and
+        #: promoted retries rejoin at the tail.
+        self.todo: collections.deque = collections.deque(
             p.point_id for p in self.points
             if self.records[p.point_id].status == "pending"
-        ]
-        self.home: Dict[str, int] = {}
-        for i, pid in enumerate(todo):
-            shard = i % self.jobs
-            self.home[pid] = shard
-            self.shards[shard].append(pid)
+        )
 
     # -- journal ---------------------------------------------------------
     def _journal(self, record: Dict) -> None:
@@ -465,7 +501,7 @@ class _Scheduler:
             parked = self.records[parked_pid]
             if parked.status == "parked":
                 parked.status = "pending"
-                self.shards[self.home[parked_pid]].append(parked_pid)
+                self.todo.append(parked_pid)
 
     def _fail_attempt(self, pid: str, error: str,
                       traceback: Optional[str],
@@ -501,37 +537,22 @@ class _Scheduler:
         for ready_at, pid in self.pending_retry:
             if ready_at <= now:
                 if self.records[pid].status == "pending":
-                    self.shards[self.home[pid]].append(pid)
+                    self.todo.append(pid)
             else:
                 still_waiting.append((ready_at, pid))
         self.pending_retry = still_waiting
 
-    def _pop_work(self, slot_id: int) -> Tuple[Optional[str], bool]:
-        """Next point id for ``slot_id`` (own shard first, else steal
-        from the largest shard).  Returns ``(pid, stolen)``."""
-        if self.shards[slot_id]:
-            return self.shards[slot_id].pop(0), False
-        richest = max(
-            range(self.jobs), key=lambda i: len(self.shards[i])
-        )
-        if self.shards[richest]:
-            return self.shards[richest].pop(0), True
-        return None, False
-
-    def _dispatch_to(self, slot: "_WorkerSlot") -> bool:
-        """Hand ``slot`` its next point; resolves dedup driver-side.
-        Returns whether anything was dispatched."""
-        while True:
-            pid, stolen = self._pop_work(slot.slot_id)
-            if pid is None:
-                return False
+    def _next(self) -> Optional[str]:
+        """Pop the next point id to execute, resolving dedup
+        driver-side: a duplicate of a finished run completes without
+        touching a worker, one of a running run parks."""
+        while self.todo:
+            pid = self.todo.popleft()
             state = self.records[pid]
             if state.status != "pending":
                 continue
             key = state.run_key
             if key is not None and key in self.key_done:
-                # A sibling already produced this run: complete the
-                # duplicate without touching a worker.
                 self._complete(
                     pid, dict(self.key_done[key], cache_hit=True),
                     worker=None, dedup=True,
@@ -544,51 +565,22 @@ class _Scheduler:
             if key is not None:
                 self.key_inflight[key] = pid
             state.status = "inflight"
-            if stolen:
-                self.telemetry.steals += 1
-            slot.inflight = pid
-            if self.timeout is not None:
-                slot.deadline = (
-                    _now() + self.timeout * HARD_TIMEOUT_FACTOR + 1.0
-                )
-            slot.inbox.put((state.point, self.timeout))
-            return True
+            return pid
+        return None
 
-    # -- result handling -------------------------------------------------
-    def _handle_message(self, msg, slots) -> None:
-        kind, slot_id, pid, payload = msg
-        if kind == "bye" or pid is None:
+    def _settle(self, kind: str, slot_id: int, pid: Optional[str],
+                payload) -> None:
+        """Apply one worker outcome (see :meth:`WorkerPool.poll`)."""
+        if kind in ("crashed", "hung"):
+            self.telemetry.worker_crashes += 1
+        if pid is None:
             return
-        slot = slots[slot_id] if 0 <= slot_id < len(slots) else None
-        if slot is not None and slot.inflight == pid:
-            slot.inflight = None
-            slot.deadline = None
         if kind == "done":
             self._complete(pid, payload, worker=slot_id)
-        elif kind == "timeout":
+        else:
             self._fail_attempt(
-                pid, f"timed out after {self.timeout}s", None,
-                timed_out=True,
+                pid, *outcome_error(kind, payload, self.timeout, "point")
             )
-        elif kind == "failed":
-            self._fail_attempt(
-                pid, payload.get("error", "unknown failure"),
-                payload.get("traceback"),
-            )
-
-    def _handle_dead_worker(self, slot: "_WorkerSlot",
-                            pool: "WorkerPool") -> None:
-        exitcode = slot.proc.exitcode if slot.proc is not None else None
-        self.telemetry.worker_crashes += 1
-        pid = slot.inflight
-        if pid is not None:
-            self._fail_attempt(
-                pid,
-                f"worker process died mid-point (exit code {exitcode})",
-                None,
-            )
-        pool.respawn(slot)
-        self.telemetry.workers_spawned = pool.spawned
 
     @property
     def _open_count(self) -> int:
@@ -600,95 +592,48 @@ class _Scheduler:
     # -- the driver loop -------------------------------------------------
     def run(self) -> SweepOutcome:
         if self._open_count == 0:
-            return self._outcome(None)
+            return self._outcome()
         if self.inline:
             return self._run_inline()
         pool = WorkerPool(self.jobs)
         try:
             pool.start()
-            self.telemetry.workers_spawned = pool.spawned
-            while self._open_count > 0:
-                # 1. Drain everything already reported.
-                while True:
-                    try:
-                        msg = pool.get_nowait()
-                    except queue.Empty:
-                        break
-                    self._handle_message(msg, pool.slots)
-                # 2. Crash detection: a dead worker cannot answer.
-                for slot in pool.dead_slots():
-                    self._handle_dead_worker(slot, pool)
-                # 3. Hard deadlines (hang backstop beyond SIGALRM).
-                if self.timeout is not None:
-                    for slot in pool.overdue_slots(_now()):
-                        pid = slot.inflight
-                        pool.kill_and_respawn(slot)
-                        self.telemetry.workers_spawned = pool.spawned
-                        self.telemetry.worker_crashes += 1
-                        self._fail_attempt(
-                            pid,
-                            "hard timeout: worker unresponsive "
-                            f"past {self.timeout}s guard",
-                            None, timed_out=True,
-                        )
-                # 4. Promote backoff-expired retries, then dispatch.
+            while True:
+                self.telemetry.workers_spawned = pool.spawned
                 self._promote_retries()
                 for slot in pool.idle_slots():
-                    self._dispatch_to(slot)
+                    pid = self._next()
+                    if pid is None:
+                        break
+                    pool.send(slot, pid,
+                              (self.records[pid].point, self.timeout),
+                              self.timeout)
                 if self._open_count == 0:
                     break
-                # 5. Wait for the next event.
-                try:
-                    msg = pool.get(timeout=TICK_S)
-                except queue.Empty:
-                    continue
-                self._handle_message(msg, pool.slots)
+                for outcome in pool.poll(TICK_S):
+                    self._settle(*outcome)
         finally:
             pool.close()
-        self.telemetry.workers_alive = 0
-        return self._outcome(None)
+        return self._outcome()
 
     def _run_inline(self) -> SweepOutcome:
         """Serial in-process execution (``jobs=1``): same lifecycle,
         same journal records, no worker processes."""
         while self._open_count > 0:
             self._promote_retries()
-            pid, stolen = self._pop_work(0)
+            pid = self._next()
             if pid is None:
-                if self.pending_retry:
-                    ready_at = min(r for r, _ in self.pending_retry)
-                    time.sleep(max(0.0, ready_at - _now()))
-                    continue
-                break  # pragma: no cover - defensive
-            state = self.records[pid]
-            if state.status != "pending":
+                # Only backoff-delayed retries are left.
+                ready_at = min(r for r, _ in self.pending_retry)
+                time.sleep(max(0.0, ready_at - _now()))
                 continue
-            key = state.run_key
-            if key is not None and key in self.key_done:
-                self._complete(
-                    pid, dict(self.key_done[key], cache_hit=True),
-                    worker=None, dedup=True,
-                )
-                continue
-            state.status = "inflight"
             kind, payload = worker_module.execute_point(
-                state.point, self.timeout
+                self.records[pid].point, self.timeout
             )
-            if kind == "done":
-                self._complete(pid, payload, worker=0)
-            elif kind == "timeout":
-                self._fail_attempt(
-                    pid, f"timed out after {self.timeout}s", None,
-                    timed_out=True,
-                )
-            else:
-                self._fail_attempt(
-                    pid, payload.get("error", "unknown failure"),
-                    payload.get("traceback"),
-                )
-        return self._outcome(None)
+            self._settle(kind, 0, pid, payload)
+        return self._outcome()
 
-    def _outcome(self, _unused) -> SweepOutcome:
+    def _outcome(self) -> SweepOutcome:
         self._journal({
             "event": "finished",
             "counts": {
@@ -751,12 +696,15 @@ def run_grid(
             "to continue it (or remove it for a fresh run)"
         )
     points = grid.expand()
+    # Built before the journal exists, so a rejected argument leaves
+    # no journal behind.
+    scheduler = _Scheduler(
+        points, jobs=jobs, retries=retries, backoff=backoff,
+        timeout=timeout, writer=None,
+    )
     with JournalWriter(path) as writer:
         writer.append(header_record(grid, len(points)))
-        scheduler = _Scheduler(
-            points, jobs=jobs, retries=retries, backoff=backoff,
-            timeout=timeout, writer=writer,
-        )
+        scheduler.writer = writer
         return scheduler.run()
 
 

@@ -1,7 +1,7 @@
 """The sweep worker: one process, one point at a time.
 
-Workers are deliberately thin — all scheduling intelligence (shards,
-stealing, retries, quarantine, journaling) lives in the driver.  A
+Workers are deliberately thin — all scheduling intelligence (the work
+queue, retries, quarantine, journaling) lives in the driver.  A
 worker blocks on its private inbox, executes the dispatched point
 through the run cache under :func:`run_guarded` (so simulator errors
 *and* unexpected exceptions fold into a reportable message, and the

@@ -27,7 +27,6 @@ their results, and interrupted jobs re-queue under their original ids.
 from __future__ import annotations
 
 import collections
-import queue
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -44,10 +43,10 @@ from repro.experiments.sweep.aggregate import point_rows
 from repro.experiments.sweep.journal import JournalWriter, parse_records
 from repro.experiments.sweep.scheduler import (
     DEFAULT_BACKOFF,
-    HARD_TIMEOUT_FACTOR,
     TICK_S,
     WorkerPool,
     _now,
+    outcome_error,
 )
 from repro.serve.spec import RunRequest
 
@@ -139,9 +138,11 @@ def job_payload(job: Job, events: bool = False) -> Dict:
 
 class JobManager:
     """Thread-safe job ledger plus a driver thread over a
-    :class:`WorkerPool` — the sweep scheduler's loop shape (drain,
-    crash-respawn, hard-deadline kill, retry promotion, dispatch)
-    adapted to an endless queue instead of a fixed point list."""
+    :class:`WorkerPool`.  The loop is the sweep scheduler's: promote
+    due retries, send queued jobs to idle slots, then settle what the
+    pool's :meth:`~WorkerPool.poll` reports (which also respawns
+    crashed workers and kills hung ones), over an endless queue
+    instead of a fixed point list."""
 
     def __init__(
         self,
@@ -156,6 +157,8 @@ class JobManager:
             raise ServeError(f"serve needs >= 1 worker: {workers}")
         if int(max_queue) < 1:
             raise ServeError(f"max_queue must be >= 1: {max_queue}")
+        if timeout is not None and not timeout > 0:
+            raise ServeError(f"job timeout must be > 0 seconds: {timeout}")
         self.workers = int(workers)
         self.retries = max(0, int(retries))
         self.backoff = max(0.0, backoff)
@@ -424,41 +427,21 @@ class JobManager:
     def _run_loop(self) -> None:
         pool = self._pool
         while not self._stop.is_set():
-            try:
-                while True:
-                    try:
-                        msg = pool.get_nowait()
-                    except queue.Empty:
+            with self._lock:
+                self._promote_retries()
+                for slot in pool.idle_slots():
+                    if not self._dispatch_to(slot):
                         break
-                    self._handle_message(msg, pool.slots)
-                with self._lock:
-                    for slot in pool.dead_slots():
-                        self._handle_dead_worker(slot, pool)
-                    if self.timeout is not None:
-                        for slot in pool.overdue_slots(_now()):
-                            pid = slot.inflight
-                            pool.kill_and_respawn(slot)
-                            self.counters["worker_crashes"] += 1
-                            self._fail_attempt(
-                                pid,
-                                "hard timeout: worker unresponsive "
-                                f"past {self.timeout}s guard",
-                                None, timed_out=True,
-                            )
-                    self._promote_retries()
-                    for slot in pool.idle_slots():
-                        if not self._dispatch_to(slot):
-                            break
-                try:
-                    msg = pool.get(timeout=TICK_S)
-                except queue.Empty:
-                    continue
-                self._handle_message(msg, pool.slots)
+            try:
+                outcomes = pool.poll(TICK_S)
             except (OSError, ValueError):  # pragma: no cover
                 # Queue teardown racing the loop during shutdown.
                 if self._stop.is_set():
                     return
                 raise
+            with self._lock:
+                for outcome in outcomes:
+                    self._settle(*outcome)
 
     def _promote_retries(self) -> None:
         if not self.pending_retry:
@@ -484,50 +467,27 @@ class JobManager:
                       worker=slot.slot_id)
             pid = job.request.point.point_id
             self.inflight[pid] = job.id
-            slot.inflight = pid
-            if self.timeout is not None:
-                slot.deadline = (
-                    _now() + self.timeout * HARD_TIMEOUT_FACTOR + 1.0
-                )
-            slot.inbox.put((
-                job.request.point, self.timeout, job.request.telemetry,
-            ))
+            self._pool.send(
+                slot, pid,
+                (job.request.point, self.timeout, job.request.telemetry),
+                self.timeout,
+            )
             return True
         return False
 
-    def _handle_message(self, msg, slots) -> None:
-        kind, slot_id, pid, payload = msg
-        if kind == "bye" or pid is None:
+    def _settle(self, kind: str, slot_id: int, pid: Optional[str],
+                payload) -> None:
+        """Apply one worker outcome (see :meth:`WorkerPool.poll`)."""
+        if kind in ("crashed", "hung"):
+            self.counters["worker_crashes"] += 1
+        if pid is None:
             return
-        with self._lock:
-            slot = slots[slot_id] if 0 <= slot_id < len(slots) else None
-            if slot is not None and slot.inflight == pid:
-                slot.inflight = None
-                slot.deadline = None
-            if kind == "done":
-                self._complete(pid, payload)
-            elif kind == "timeout":
-                self._fail_attempt(
-                    pid, f"timed out after {self.timeout}s", None,
-                    timed_out=True,
-                )
-            elif kind == "failed":
-                self._fail_attempt(
-                    pid, payload.get("error", "unknown failure"),
-                    payload.get("traceback"),
-                )
-
-    def _handle_dead_worker(self, slot, pool) -> None:
-        exitcode = slot.proc.exitcode if slot.proc is not None else None
-        self.counters["worker_crashes"] += 1
-        pid = slot.inflight
-        if pid is not None:
+        if kind == "done":
+            self._complete(pid, payload)
+        else:
             self._fail_attempt(
-                pid,
-                f"worker process died mid-job (exit code {exitcode})",
-                None,
+                pid, *outcome_error(kind, payload, self.timeout, "job")
             )
-        pool.respawn(slot)
 
     def _complete(self, pid: str, summary: Dict) -> None:
         job_id = self.inflight.pop(pid, None)

@@ -27,6 +27,7 @@ from repro.experiments.sweep.aggregate import (
     PARAM_COLUMNS,
 )
 from repro.serve import (
+    JobManager,
     ReproServeServer,
     RunRequest,
     ServeClient,
@@ -436,6 +437,28 @@ def test_crashed_job_fails_and_worker_respawns(serve_pair):
     workers = server.status()["workers"]
     assert workers["alive"] == 2
     assert workers["spawned"] == 2 + doc["attempts"]  # one per crash
+
+
+def test_hung_job_times_out_and_server_stays_usable(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    server = ReproServeServer(port=0, workers=2, retries=0, timeout=0.5)
+    server.start()
+    try:
+        client = ServeClient(server.url)
+        doc = _run(client, {"kind": "probe", "version": "hang", "seed": 96})
+        assert doc["state"] == "failed"
+        assert "timed out after 0.5s" in doc["error"]
+        assert server.manager.counters["timeouts"] == 1
+        ok = _run(client, {"kind": "probe", "version": "ok", "seed": 97})
+        assert ok["state"] == "done"
+    finally:
+        server.stop(drain_timeout=30.0)
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0])
+def test_nonpositive_job_timeout_is_rejected_at_entry(timeout):
+    with pytest.raises(ServeError, match="timeout must be > 0"):
+        JobManager(timeout=timeout)
 
 
 def test_second_stop_is_safe(serve_pair, tmp_path):

@@ -1,11 +1,12 @@
-"""Crash-tolerance tests for the sharded sweep engine.
+"""Crash-tolerance tests for the sweep engine.
 
 These tests exercise every failure class the engine claims to survive:
 worker crash (SIGKILL mid-point), poisoned points (crash every
 attempt), per-point timeouts, and driver death (SIGKILL the driver,
 then resume from the journal with zero re-simulation).  The box
 running the suite may have a single core, so parallelism assertions
-are structural (counters, shard composition) rather than timing-based.
+are structural (counters, which worker ran which point) rather than
+timing-based.
 """
 
 import json
@@ -20,7 +21,11 @@ from repro.cli import main
 from repro.errors import SweepError
 from repro.experiments import sweep
 from repro.experiments.sweep.grid import SweepPoint
-from repro.experiments.sweep.scheduler import SweepTelemetry
+from repro.experiments.sweep.scheduler import (
+    SweepTelemetry,
+    WorkerPool,
+    _Scheduler,
+)
 
 
 def _probe_points(behaviors, start_seed, **kwargs):
@@ -74,7 +79,7 @@ def test_grid_spec_validation(broken):
         sweep.SweepGrid.from_dict(broken)
 
 
-# -- happy path / dedup / stealing ---------------------------------------
+# -- happy path / dedup / load balance -----------------------------------
 
 def test_sweep_completes_and_counts(tmp_path):
     grid = sweep.SweepGrid.from_dict({
@@ -119,26 +124,32 @@ def test_thousand_point_grid_dedups_through_run_cache():
 
 
 def test_work_stealing_from_imbalanced_shards():
-    # Round-robin sharding puts the slow probes on worker 0 (even
-    # indices) and the cheap ones on worker 1; worker 1 drains its own
-    # shard and must steal the remaining slow points.  Structural on
-    # any core count: six cheap points finish well inside one slow one.
+    # Slow probes at the even indices, cheap ones at the odd: a
+    # round-robin split would hand every slow point to worker 0.  The
+    # one FIFO queue instead gives each idle worker the next point, so
+    # worker 1 takes slow points once its cheap one is done.
+    # Structural on any core count: a cheap point finishes well inside
+    # a slow one.
     behaviors = ["slow" if i % 2 == 0 else "ok" for i in range(12)]
     points = _probe_points(behaviors, start_seed=300)
     outcome = sweep.run_points(points, jobs=2, backoff=0.01)
     assert outcome.complete
     assert outcome.counts["completed"] == 12
-    assert outcome.telemetry["steals"] > 0
+    slow_workers = {
+        outcome.done[p.point_id]["worker"]
+        for p in points if p.version == "slow"
+    }
+    assert slow_workers == {0, 1}
 
 
 def test_telemetry_registry_exposes_counters():
     telemetry = SweepTelemetry()
     telemetry.points_done = 5
-    telemetry.steals = 2
+    telemetry.retries = 2
     registry = telemetry.as_registry()
     families = {f["name"]: f for f in registry.collect()}
     assert families["sweep_points_done"]["samples"][0]["value"] == 5.0
-    assert families["sweep_steals"]["samples"][0]["value"] == 2.0
+    assert families["sweep_retries"]["samples"][0]["value"] == 2.0
     # Live view: mutating the counter changes the next collection.
     telemetry.points_done = 6
     families = {f["name"]: f for f in registry.collect()}
@@ -197,6 +208,115 @@ def test_serial_inline_path_isolates_failures():
     assert outcome.counts == {
         "total": 2, "completed": 1, "quarantined": 1, "pending": 0,
     }
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0])
+def test_nonpositive_timeout_is_rejected_at_entry(timeout):
+    points = _probe_points(["ok"], start_seed=445)
+    with pytest.raises(SweepError, match="timeout must be > 0"):
+        sweep.run_points(points, jobs=2, timeout=timeout)
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_cli_sweep_run_rejects_nonpositive_timeout(tmp_path, capsys,
+                                                   timeout):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({
+        "name": "bad-timeout",
+        "apps": [{"kind": "probe", "versions": ["ok"]}],
+        "seeds": [446],
+    }))
+    journal = tmp_path / "bad.jsonl"
+    assert main([
+        "sweep", "run", str(grid_file), "--journal", str(journal),
+        "--timeout", timeout,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "timeout must be > 0" in err
+    assert not journal.exists()
+
+
+# -- the worker pool -----------------------------------------------------
+
+def _mute_worker(slot_id, inbox, results):
+    """Takes each message and never answers: a hang that no SIGALRM
+    guard interrupts."""
+    while inbox.get() is not None:
+        time.sleep(3600.0)
+
+
+def _exit3_worker(slot_id, inbox, results):
+    """Dies with exit code 3 on its first message."""
+    if inbox.get() is not None:
+        os._exit(3)
+
+
+def _poll_until_outcome(pool, limit=30.0):
+    deadline = time.monotonic() + limit
+    while time.monotonic() < deadline:
+        outcomes = pool.poll(0.05)
+        if outcomes:
+            return outcomes
+    pytest.fail("the pool reported nothing")
+
+
+def test_pool_poll_kills_and_respawns_a_hung_worker():
+    pool = WorkerPool(1, target=_mute_worker)
+    pool.start()
+    try:
+        start = time.monotonic()
+        pool.send(pool.slots[0], "p0", "work", timeout=0.1)
+        outcomes = _poll_until_outcome(pool)
+        # Hard deadline: 0.1 s x HARD_TIMEOUT_FACTOR + 1 s.
+        assert time.monotonic() - start >= 1.3
+        assert outcomes == [("hung", 0, "p0", None)]
+        assert pool.spawned == 2
+        assert pool.alive_count == 1
+        assert pool.idle_slots() == pool.slots
+    finally:
+        pool.close()
+
+
+def test_pool_poll_reports_a_crash_with_its_exit_code():
+    pool = WorkerPool(1, target=_exit3_worker)
+    pool.start()
+    try:
+        pool.send(pool.slots[0], "p0", "work", timeout=None)
+        assert _poll_until_outcome(pool) == [("crashed", 0, "p0", 3)]
+        assert pool.spawned == 2
+        assert pool.idle_slots() == pool.slots
+    finally:
+        pool.close()
+
+
+def test_idle_worker_death_counts_a_crash_and_retries_nothing():
+    pool = WorkerPool(1)
+    pool.start()
+    try:
+        pool.slots[0].kill()
+        outcomes = _poll_until_outcome(pool)
+        assert outcomes == [("crashed", 0, None, -signal.SIGKILL)]
+        assert pool.alive_count == 1
+    finally:
+        pool.close()
+    scheduler = _Scheduler(
+        _probe_points(["ok"], start_seed=450), jobs=2, retries=1,
+        backoff=0.0, timeout=None, writer=None,
+    )
+    for outcome in outcomes:
+        scheduler._settle(*outcome)
+    assert scheduler.telemetry.worker_crashes == 1
+    assert scheduler.telemetry.retries == 0
+    assert not scheduler.pending_retry
+    assert [r.status for r in scheduler.records.values()] == ["pending"]
+
+
+def test_pool_close_twice_is_safe():
+    pool = WorkerPool(2)
+    pool.start()
+    pool.close()
+    pool.close()
+    assert pool.alive_count == 0
 
 
 # -- the journal ---------------------------------------------------------
